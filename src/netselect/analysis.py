@@ -9,6 +9,7 @@ frequency per method over random scenarios.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import DecisionMatrix, drop_alternative, duplicate_alternative
 from .methods import TiePolicy, rank
@@ -170,6 +171,18 @@ class AgreementReport:
     orders: dict[str, tuple[str, ...]]
     tau: tuple[tuple[float, ...], ...]
 
+    @classmethod
+    def from_orders(cls, methods, orders) -> "AgreementReport":
+        """Cross-tabulate Kendall tau over already computed per-method orders.
+
+        The table is symmetric with a unit diagonal: each unordered pair is computed once.
+        """
+        methods = tuple(methods)
+        tau = [[1.0] * len(methods) for _ in methods]
+        for i, j in combinations(range(len(methods)), 2):
+            tau[i][j] = tau[j][i] = kendall_tau(orders[methods[i]], orders[methods[j]])
+        return cls(methods=methods, orders=dict(orders), tau=tuple(map(tuple, tau)))
+
     def tau_between(self, method_a: str, method_b: str) -> float:
         return self.tau[self.methods.index(method_a)][self.methods.index(method_b)]
 
@@ -193,10 +206,7 @@ def agreement_report(
     if not methods:
         raise ValueError("at least one method required")
     orders = {m: rank(matrix, weights, m, tie=tie, alpha=alpha).order for m in methods}
-    tau = tuple(
-        tuple(kendall_tau(orders[a], orders[b]) for b in methods) for a in methods
-    )
-    return AgreementReport(methods=methods, orders=orders, tau=tau)
+    return AgreementReport.from_orders(methods, orders)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ violations, unknown labels), 5 numeric failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import (
-    agreement_report,
+    AgreementReport,
     duplication_experiment,
     monte_carlo_reversal,
     reversal_experiment,
@@ -55,11 +55,12 @@ class RunConfig:
     tie: TiePolicy = TiePolicy.MEAN_RANK
     alpha: int | None = None
     fmt: str = "text"
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ValueError("at least one method must be requested")
+    agreement: bool = False
+    drop: str | None = None
+    duplicate: str | None = None
+    montecarlo: int | None = None
+    seed: int | None = None
+    spec: str | None = None
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -93,10 +94,6 @@ def _load_weights(source: str):
     return read_weights(source)
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def _render_rankings_text(results: list[RankingResult], out) -> None:
     for result in results:
         print(f"method: {result.method}", file=out)
@@ -104,7 +101,7 @@ def _render_rankings_text(results: list[RankingResult], out) -> None:
         width = max(len("alternative"), *(len(label) for label in labels))
         print(f"rank  {'alternative'.ljust(width)}  score", file=out)
         for position, label in enumerate(labels, start=1):
-            score = _format_float(result.scores[label])
+            score = f"{result.scores[label]:.6f}"
             print(f"{str(position).ljust(4)}  {label.ljust(width)}  {score}", file=out)
         if result.ties:
             groups = "; ".join(", ".join(group) for group in result.ties)
@@ -135,31 +132,25 @@ def cmd_rank(config: RunConfig, out=None) -> int:
         rank(matrix, weights, method, tie=config.tie, alpha=config.alpha)
         for method in config.methods
     ]
+    if config.fmt == "csv":
+        _render_rankings_csv(results, out)
+        return EXIT_OK
+    orders = {r.method: r.order for r in results}
+    report = AgreementReport.from_orders(config.methods, orders) if config.agreement else None
     if config.fmt == "json":
         payload = {"results": [r.to_dict() for r in results]}
-        if config.extra.get("agreement"):
-            report = agreement_report(
-                matrix, weights, config.methods, tie=config.tie, alpha=config.alpha
-            )
+        if report is not None:
             payload["agreement"] = report.to_dict()
         _emit_json(payload, out)
-    elif config.fmt == "csv":
-        _render_rankings_csv(results, out)
     else:
         _render_rankings_text(results, out)
-        if config.extra.get("agreement"):
-            report = agreement_report(
-                matrix, weights, config.methods, tie=config.tie, alpha=config.alpha
-            )
+        if report is not None:
             width = max(len(m) for m in report.methods)
             print("pairwise kendall tau:", file=out)
             header = " ".join(m.rjust(max(width, 7)) for m in report.methods)
             print(f"{''.ljust(width)} {header}", file=out)
-            for i, method in enumerate(report.methods):
-                cells = " ".join(
-                    f"{report.tau[i][j]:+.4f}".rjust(max(width, 7))
-                    for j in range(len(report.methods))
-                )
+            for method, row in zip(report.methods, report.tau):
+                cells = " ".join(f"{tau:+.4f}".rjust(max(width, 7)) for tau in row)
                 print(f"{method.ljust(width)} {cells}", file=out)
     return EXIT_OK
 
@@ -167,16 +158,14 @@ def cmd_rank(config: RunConfig, out=None) -> int:
 def cmd_reversal(config: RunConfig, out=None) -> int:
     out = out or sys.stdout
     weights = _load_weights(config.weights_source)
-    trials = config.extra.get("montecarlo")
-    if trials is not None:
-        spec_source = config.extra.get("spec")
-        spec = read_scenario(spec_source) if spec_source else example_scenario()
+    if config.montecarlo is not None:
+        spec = read_scenario(config.spec) if config.spec else example_scenario()
         report = monte_carlo_reversal(
             spec,
             weights,
             config.methods,
-            trials=trials,
-            seed=config.extra.get("seed"),
+            trials=config.montecarlo,
+            seed=config.seed,
             tie=config.tie,
             alpha=config.alpha,
         )
@@ -196,17 +185,17 @@ def cmd_reversal(config: RunConfig, out=None) -> int:
         return EXIT_OK
 
     matrix = _load_matrix(config)
-    drop = config.extra.get("drop")
-    duplicate = config.extra.get("duplicate")
-    if drop is not None:
+    if config.drop is not None:
         reports = [
-            reversal_experiment(matrix, weights, m, drop, tie=config.tie, alpha=config.alpha)
+            reversal_experiment(
+                matrix, weights, m, config.drop, tie=config.tie, alpha=config.alpha
+            )
             for m in config.methods
         ]
     else:
         reports = [
             duplication_experiment(
-                matrix, weights, m, duplicate, tie=config.tie, alpha=config.alpha
+                matrix, weights, m, config.duplicate, tie=config.tie, alpha=config.alpha
             )
             for m in config.methods
         ]
@@ -215,7 +204,7 @@ def cmd_reversal(config: RunConfig, out=None) -> int:
     else:
         for report in reports:
             flag = "yes" if report.reversed else "no"
-            after = report.reduced_order if drop is not None else report.filtered_order
+            after = report.reduced_order if config.drop is not None else report.filtered_order
             print(f"method: {report.method}  reversed: {flag}", file=out)
             print(f"  baseline: {' > '.join(report.baseline_order)}", file=out)
             print(f"  after:    {' > '.join(after)}", file=out)
@@ -341,6 +330,12 @@ def _config_from_args(parser: argparse.ArgumentParser, args) -> RunConfig:
         tie=TiePolicy.parse(args.tie),
         alpha=args.alpha,
         fmt=args.fmt,
+        agreement=args.command == "compare",
+        drop=getattr(args, "drop", None),
+        duplicate=getattr(args, "duplicate", None),
+        montecarlo=getattr(args, "montecarlo", None),
+        seed=getattr(args, "seed", None),
+        spec=getattr(args, "spec", None),
     )
 
 
@@ -349,13 +344,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command in ("rank", "compare"):
-            config = _config_from_args(parser, args)
-            if args.command == "compare":
-                config.extra["agreement"] = True
-            return cmd_rank(config)
+        if args.command == "gen":
+            return cmd_gen(args)
+        config = _config_from_args(parser, args)
         if args.command == "reversal":
-            config = _config_from_args(parser, args)
             if args.montecarlo is None:
                 modes = [m for m in (args.drop, args.duplicate) if m is not None]
                 if len(modes) != 1:
@@ -365,17 +357,8 @@ def main(argv=None) -> int:
                     parser.error("--montecarlo needs at least one trial")
                 if args.drop is not None or args.duplicate is not None:
                     parser.error("--montecarlo cannot be combined with --drop or --duplicate")
-            config.extra.update(
-                drop=args.drop,
-                duplicate=args.duplicate,
-                montecarlo=args.montecarlo,
-                seed=args.seed,
-                spec=args.spec,
-            )
             return cmd_reversal(config)
-        if args.command == "gen":
-            return cmd_gen(args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_rank(config)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO
@@ -394,7 +377,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK
 
 
 if __name__ == "__main__":

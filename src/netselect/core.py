@@ -11,6 +11,7 @@ matrices and results can be shared freely across threads.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +47,12 @@ class CriterionSpec:
 class DecisionMatrix:
     """Alternatives x criteria grid of raw values.
 
-    The value grid is stored as a read-only float array. Construction does
-    not enforce the full invariants; use :func:`validate_matrix` for a
-    verdict or :func:`require_valid` to raise on violations (every ranking
-    operation does the latter).
+    The value grid is stored as a private, read-only float array, so a
+    matrix never changes after construction. Construction does not enforce
+    the full invariants; use :func:`validate_matrix` for a verdict or
+    :func:`require_valid` to raise on violations. The verdict is computed
+    at most once per matrix and kept on it: :func:`require_valid` (which
+    every ranking entry point calls) reads the stored verdict.
     """
 
     alternatives: tuple[str, ...]
@@ -78,6 +81,15 @@ class DecisionMatrix:
     @property
     def directions(self) -> tuple[Direction, ...]:
         return tuple(spec.direction for spec in self.criteria)
+
+    @property
+    def benefit_mask(self) -> np.ndarray:
+        """Boolean array, true for each Benefit criterion."""
+        return np.array([spec.direction is Direction.BENEFIT for spec in self.criteria])
+
+    @cached_property
+    def _violations(self) -> tuple["Violation", ...]:
+        return tuple(validate_matrix(self))
 
     def index_of(self, label: str) -> int:
         try:
@@ -181,36 +193,24 @@ def validate_matrix(matrix: DecisionMatrix) -> list[Violation]:
 
     for j, spec in enumerate(matrix.criteria):
         column = matrix.values[:, j]
-        for i in range(n):
+        finite = np.isfinite(column)
+        if spec.direction is Direction.COST:
+            out_of_domain, code = column <= 0.0, "nonpositive_cost"
+            what = f"cost criterion {spec.name!r} has non-positive value"
+        else:
+            out_of_domain, code = column < 0.0, "negative_benefit"
+            what = f"benefit criterion {spec.name!r} has negative value"
+        # Whole-column masks find the flagged cells; only those are visited,
+        # in row order.
+        for i in np.flatnonzero(~finite | out_of_domain).tolist():
             cell = column[i]
-            if not np.isfinite(cell):
+            if not finite[i]:
                 violations.append(
                     Violation("non_finite", f"value {cell!r} is not finite", row=i, col=j)
                 )
-            elif spec.direction is Direction.COST and cell <= 0.0:
-                violations.append(
-                    Violation(
-                        "nonpositive_cost",
-                        f"cost criterion {spec.name!r} has non-positive value {cell!r}",
-                        row=i,
-                        col=j,
-                    )
-                )
-            elif spec.direction is Direction.BENEFIT and cell < 0.0:
-                violations.append(
-                    Violation(
-                        "negative_benefit",
-                        f"benefit criterion {spec.name!r} has negative value {cell!r}",
-                        row=i,
-                        col=j,
-                    )
-                )
-        if (
-            spec.direction is Direction.BENEFIT
-            and n > 0
-            and np.all(np.isfinite(column))
-            and float(np.max(column)) <= 0.0
-        ):
+            else:
+                violations.append(Violation(code, f"{what} {cell!r}", row=i, col=j))
+        if spec.direction is Direction.BENEFIT and n > 0 and finite.all() and column.max() <= 0.0:
             violations.append(
                 Violation(
                     "zero_benefit_column",
@@ -222,11 +222,18 @@ def validate_matrix(matrix: DecisionMatrix) -> list[Violation]:
 
 
 def require_valid(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Raise :class:`MatrixValidationError` unless the matrix is valid."""
-    violations = validate_matrix(matrix)
-    if violations:
-        raise MatrixValidationError(violations)
+    """Raise :class:`MatrixValidationError` unless the matrix's stored verdict is clean."""
+    if matrix._violations:
+        raise MatrixValidationError(matrix._violations)
     return matrix
+
+
+def normalize_values(values: np.ndarray, benefit: np.ndarray) -> np.ndarray:
+    """:func:`normalize` over the raw grid of an already validated matrix."""
+    out = np.empty_like(values)
+    out[:, benefit] = values[:, benefit] / values[:, benefit].max(axis=0)
+    out[:, ~benefit] = values[:, ~benefit].min(axis=0) / values[:, ~benefit]
+    return out
 
 
 def normalize(matrix: DecisionMatrix) -> np.ndarray:
@@ -236,15 +243,7 @@ def normalize(matrix: DecisionMatrix) -> np.ndarray:
     min / value. The best entry of every column maps to exactly 1, and both
     rules are invariant under positive scaling of the column.
     """
-    require_valid(matrix)
-    out = np.empty_like(matrix.values)
-    for j, spec in enumerate(matrix.criteria):
-        column = matrix.values[:, j]
-        if spec.direction is Direction.BENEFIT:
-            out[:, j] = column / np.max(column)
-        else:
-            out[:, j] = np.min(column) / column
-    return out
+    return normalize_values(require_valid(matrix).values, matrix.benefit_mask)
 
 
 def drop_alternative(matrix: DecisionMatrix, label: str) -> DecisionMatrix:

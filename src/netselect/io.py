@@ -10,6 +10,7 @@ shortest round-trip representation so write-then-read is lossless.
 
 import csv
 import json
+from io import StringIO
 from pathlib import Path
 
 from .core import CriterionSpec, DecisionMatrix, Direction, WeightVector
@@ -111,14 +112,20 @@ def read_matrix_csv(path: str | Path, directions=None) -> DecisionMatrix:
     return DecisionMatrix(labels, criteria, values)
 
 
+def matrix_to_csv_text(matrix: DecisionMatrix) -> str:
+    """The matrix CSV serialization: a header, then one row per alternative."""
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["alternative", *matrix.criterion_names])
+    for label, row in zip(matrix.alternatives, matrix.values):
+        writer.writerow([label, *(repr(float(v)) for v in row)])
+    return buffer.getvalue()
+
+
 def write_matrix_csv(matrix: DecisionMatrix, path: str | Path, sidecar: bool = True) -> None:
-    """Write a matrix as CSV; by default also write the directions/units sidecar."""
+    """Write :func:`matrix_to_csv_text`; by default also write the directions/units sidecar."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["alternative", *matrix.criterion_names])
-        for i, label in enumerate(matrix.alternatives):
-            writer.writerow([label, *(repr(float(v)) for v in matrix.values[i])])
+    path.write_text(matrix_to_csv_text(matrix), encoding="utf-8", newline="")
     if sidecar:
         meta = {
             "directions": [spec.direction.value for spec in matrix.criteria],
@@ -127,14 +134,6 @@ def write_matrix_csv(matrix: DecisionMatrix, path: str | Path, sidecar: bool = T
         sidecar_path(path).write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-
-
-def matrix_to_csv_text(matrix: DecisionMatrix) -> str:
-    """The CSV serialization as a string (same format as write_matrix_csv)."""
-    lines = [",".join(["alternative", *matrix.criterion_names])]
-    for i, label in enumerate(matrix.alternatives):
-        lines.append(",".join([label, *(repr(float(v)) for v in matrix.values[i])]))
-    return "\n".join(lines) + "\n"
 
 
 def read_weights(path: str | Path) -> WeightVector:

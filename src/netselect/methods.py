@@ -21,16 +21,13 @@ import numpy as np
 
 from .core import (
     DecisionMatrix,
-    Direction,
     MatrixValidationError,
     RankingResult,
     Violation,
     as_weight_array,
-    normalize,
+    normalize_values,
     require_valid,
 )
-
-METHODS = ("msaw", "saw", "wpm", "topsis", "ahp")
 
 
 class TiePolicy(Enum):
@@ -75,9 +72,9 @@ class MsawIncomeBreakdown:
             object.__setattr__(self, name, arr)
 
 
-def _column_positions(column: np.ndarray, direction: Direction, tie: TiePolicy) -> np.ndarray:
+def _column_positions(column: np.ndarray, benefit: bool, tie: TiePolicy) -> np.ndarray:
     """Positions (0 = best) of each alternative within one criterion column."""
-    key = column if direction is Direction.COST else -column
+    key = -column if benefit else column
     order = np.argsort(key, kind="stable")
     positions = np.empty(len(column), dtype=float)
     positions[order] = np.arange(len(column), dtype=float)
@@ -94,13 +91,104 @@ def _column_positions(column: np.ndarray, direction: Direction, tie: TiePolicy) 
     return positions
 
 
+def _msaw_income(values, benefit, w, tie, alpha):
+    """Rank positions, per-criterion incomes and the resolved alpha."""
+    n = values.shape[0]
+    if alpha is None:
+        alpha = n
+    elif alpha < n:
+        raise ValueError(f"alpha must be >= number of alternatives ({n}), got {alpha}")
+    ranks = np.column_stack(
+        [_column_positions(values[:, j], benefit[j], tie) for j in range(values.shape[1])]
+    )
+    return ranks, (alpha - ranks) * w[None, :], alpha
+
+
+def _score_msaw(values, benefit, w, tie, alpha):
+    return _msaw_income(values, benefit, w, tie, alpha)[1].sum(axis=1)
+
+
+def _score_saw(values, benefit, w, tie, alpha):
+    return normalize_values(values, benefit) @ w
+
+
+def _score_wpm(values, benefit, w, tie, alpha):
+    nonpositive = np.argwhere(values <= 0.0)
+    if nonpositive.size:
+        row, col = (int(x) for x in nonpositive[0])
+        message = "weighted product needs strictly positive values"
+        raise MatrixValidationError([Violation("nonpositive_value", message, row=row, col=col)])
+    return np.prod(normalize_values(values, benefit) ** w[None, :], axis=1)
+
+
+def _score_topsis(values, benefit, w, tie, alpha):
+    # Dividing by the column max first keeps the Euclidean norm within
+    # [1, sqrt(n)], so it can neither overflow nor underflow; every column
+    # max of a valid matrix is positive.
+    scaled = values / values.max(axis=0)
+    weighted = scaled / np.linalg.norm(scaled, axis=0) * w[None, :]
+    ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
+    anti_ideal = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
+    dist_ideal = np.linalg.norm(weighted - ideal[None, :], axis=1)
+    dist_anti = np.linalg.norm(weighted - anti_ideal[None, :], axis=1)
+    total = dist_ideal + dist_anti
+    # All alternatives identical: every point is both ideal and anti-ideal.
+    return np.where(total > 0.0, dist_anti / np.where(total > 0.0, total, 1.0), 0.5)
+
+
+def _score_ahp(values, benefit, w, tie, alpha):
+    local = np.empty_like(values)
+    for j in range(values.shape[1]):
+        column = values[:, j]
+        adjusted = column if benefit[j] else 1.0 / column
+        local[:, j] = adjusted / adjusted.sum()
+    return local @ w
+
+
+# Each scorer maps the raw values of a validated matrix, its benefit mask, the
+# weight array, tie and alpha (read by msaw only) to one score per alternative.
+_SCORERS = {
+    "msaw": _score_msaw,
+    "saw": _score_saw,
+    "wpm": _score_wpm,
+    "topsis": _score_topsis,
+    "ahp": _score_ahp,
+}
+METHODS = tuple(_SCORERS)
+
+
+def _checked(matrix: DecisionMatrix, weights):
+    require_valid(matrix)
+    return matrix.values, matrix.benefit_mask, as_weight_array(weights, matrix.n_criteria)
+
+
+def rank(
+    matrix: DecisionMatrix,
+    weights,
+    method: str,
+    tie: TiePolicy = TiePolicy.MEAN_RANK,
+    alpha: int | None = None,
+) -> RankingResult:
+    """Run one method by identifier; ``tie`` and ``alpha`` apply to msaw only.
+
+    This is the single entry point of every method: it rejects an unknown
+    identifier, checks the matrix (see :func:`require_valid`) and the
+    weights once, and scores with the method's entry in the method table.
+    """
+    scorer = _SCORERS.get(method)
+    if scorer is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    scores = scorer(*_checked(matrix, weights), tie, alpha)
+    return RankingResult.from_scores(method, matrix.alternatives, scores)
+
+
 def rank_msaw(
     matrix: DecisionMatrix,
     weights,
     tie: TiePolicy = TiePolicy.MEAN_RANK,
     alpha: int | None = None,
 ) -> tuple[RankingResult, MsawIncomeBreakdown]:
-    """Rank-income scoring.
+    """Rank-income scoring, with the per-criterion income breakdown.
 
     For each criterion, alternatives are ordered best first (descending raw
     value for Benefit criteria, ascending for Cost), each receives the
@@ -109,23 +197,8 @@ def rank_msaw(
     alternatives; any larger value only shifts every score by the same
     constant, so the order never depends on it.
     """
-    require_valid(matrix)
-    w = as_weight_array(weights, matrix.n_criteria)
-    n = matrix.n_alternatives
-    if alpha is None:
-        alpha = n
-    elif alpha < n:
-        raise ValueError(f"alpha must be >= number of alternatives ({n}), got {alpha}")
-
-    ranks = np.column_stack(
-        [
-            _column_positions(matrix.values[:, j], spec.direction, tie)
-            for j, spec in enumerate(matrix.criteria)
-        ]
-    )
-    income = (alpha - ranks) * w[None, :]
-    totals = income.sum(axis=1)
-    result = RankingResult.from_scores("msaw", matrix.alternatives, totals)
+    ranks, income, alpha = _msaw_income(*_checked(matrix, weights), tie, alpha)
+    result = RankingResult.from_scores("msaw", matrix.alternatives, income.sum(axis=1))
     breakdown = MsawIncomeBreakdown(
         alternatives=matrix.alternatives,
         criteria=matrix.criterion_names,
@@ -138,9 +211,7 @@ def rank_msaw(
 
 def rank_saw(matrix: DecisionMatrix, weights) -> RankingResult:
     """Simple additive weighting: weighted sum of the normalized matrix."""
-    w = as_weight_array(weights, matrix.n_criteria)
-    scores = normalize(matrix) @ w
-    return RankingResult.from_scores("saw", matrix.alternatives, scores)
+    return rank(matrix, weights, "saw")
 
 
 def rank_wpm(matrix: DecisionMatrix, weights) -> RankingResult:
@@ -149,23 +220,7 @@ def rank_wpm(matrix: DecisionMatrix, weights) -> RankingResult:
     Requires every raw value to be strictly positive, including in Benefit
     columns.
     """
-    require_valid(matrix)
-    w = as_weight_array(weights, matrix.n_criteria)
-    nonpositive = np.argwhere(matrix.values <= 0.0)
-    if nonpositive.size:
-        row, col = (int(x) for x in nonpositive[0])
-        raise MatrixValidationError(
-            [
-                Violation(
-                    "nonpositive_value",
-                    "weighted product needs strictly positive values",
-                    row=row,
-                    col=col,
-                )
-            ]
-        )
-    scores = np.prod(normalize(matrix) ** w[None, :], axis=1)
-    return RankingResult.from_scores("wpm", matrix.alternatives, scores)
+    return rank(matrix, weights, "wpm")
 
 
 def rank_topsis(matrix: DecisionMatrix, weights) -> RankingResult:
@@ -175,26 +230,7 @@ def rank_topsis(matrix: DecisionMatrix, weights) -> RankingResult:
     takes each column's best weighted entry (max for Benefit, min for
     Cost), the anti-ideal the worst. Scores are d-/(d+ + d-) in [0, 1].
     """
-    require_valid(matrix)
-    w = as_weight_array(weights, matrix.n_criteria)
-    norms = np.linalg.norm(matrix.values, axis=0)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise MatrixValidationError(
-            [Violation("zero_norm_column", "column has zero Euclidean norm", col=int(zero[0]))]
-        )
-    weighted = matrix.values / norms[None, :] * w[None, :]
-
-    benefit = np.array([spec.direction is Direction.BENEFIT for spec in matrix.criteria])
-    ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
-    anti_ideal = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
-
-    dist_ideal = np.linalg.norm(weighted - ideal[None, :], axis=1)
-    dist_anti = np.linalg.norm(weighted - anti_ideal[None, :], axis=1)
-    total = dist_ideal + dist_anti
-    # All alternatives identical: every point is both ideal and anti-ideal.
-    scores = np.where(total > 0.0, dist_anti / np.where(total > 0.0, total, 1.0), 0.5)
-    return RankingResult.from_scores("topsis", matrix.alternatives, scores)
+    return rank(matrix, weights, "topsis")
 
 
 def rank_ahp(matrix: DecisionMatrix, weights) -> RankingResult:
@@ -204,33 +240,4 @@ def rank_ahp(matrix: DecisionMatrix, weights) -> RankingResult:
     normalized to sum 1, giving local priorities that play the role of the
     alternative-level eigenvectors in a full pairwise hierarchy.
     """
-    require_valid(matrix)
-    w = as_weight_array(weights, matrix.n_criteria)
-    local = np.empty_like(matrix.values)
-    for j, spec in enumerate(matrix.criteria):
-        column = matrix.values[:, j]
-        adjusted = column if spec.direction is Direction.BENEFIT else 1.0 / column
-        local[:, j] = adjusted / adjusted.sum()
-    scores = local @ w
-    return RankingResult.from_scores("ahp", matrix.alternatives, scores)
-
-
-def rank(
-    matrix: DecisionMatrix,
-    weights,
-    method: str,
-    tie: TiePolicy = TiePolicy.MEAN_RANK,
-    alpha: int | None = None,
-) -> RankingResult:
-    """Run one method by identifier; ``tie`` and ``alpha`` apply to msaw only."""
-    if method == "msaw":
-        return rank_msaw(matrix, weights, tie=tie, alpha=alpha)[0]
-    if method == "saw":
-        return rank_saw(matrix, weights)
-    if method == "wpm":
-        return rank_wpm(matrix, weights)
-    if method == "topsis":
-        return rank_topsis(matrix, weights)
-    if method == "ahp":
-        return rank_ahp(matrix, weights)
-    raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    return rank(matrix, weights, "ahp")

@@ -178,6 +178,16 @@ class TestAgreementReport:
 
 
 class TestMonteCarlo:
+    def test_golden_counts_seed_7(self):
+        report = monte_carlo_reversal(example_scenario(), VOIP, METHODS, trials=1000, seed=7)
+        assert report.reversal_counts == {
+            "msaw": 372,
+            "saw": 135,
+            "wpm": 0,
+            "topsis": 186,
+            "ahp": 236,
+        }
+
     def test_deterministic_for_fixed_seed(self):
         spec = example_scenario()
         a = monte_carlo_reversal(spec, VOIP, METHODS, trials=40, seed=11)

@@ -252,6 +252,36 @@ class TestCompare:
         assert len(payload["results"]) == 5
         assert payload["agreement"]["methods"] == ["msaw", "saw", "wpm", "topsis", "ahp"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compare_ranks_each_method_once(self, capsys, monkeypatch, fmt):
+        import netselect.analysis
+        import netselect.cli
+
+        counts = {"rank": 0, "kendall_tau": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(netselect.cli, "rank")
+        counting(netselect.analysis, "rank")
+        counting(netselect.analysis, "kendall_tau")
+        code, out, _ = run_cli(
+            capsys, "compare", "--matrix", "table2", "--weights", "preset:voip", "--format", fmt
+        )
+        assert code == 0
+        # Five methods: one ranking each, one tau per unordered pair.
+        assert counts == {"rank": 5, "kendall_tau": 10}
+        if fmt == "json":
+            tau = json.loads(out)["agreement"]["tau"]
+            assert all(tau[i][i] == 1.0 for i in range(5))
+            assert all(tau[i][j] == tau[j][i] for i in range(5) for j in range(5))
+
 
 class TestReversal:
     def test_drop_reports_all_methods(self, capsys):
@@ -387,6 +417,29 @@ class TestGen:
         expected = generate_matrix(example_scenario().with_seed(9))
         parsed = read_matrix_csv(out)
         assert parsed == expected
+
+    def test_gen_stdout_and_out_write_identical_csv(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        profile = {
+            "name": "LTE, band 7",
+            "bandwidth_range": [1, 10],
+            "delay_range": [10, 50],
+            "plr_range": [0.1, 1],
+            "cost_level": 1,
+            "energy_coeffs": {"uplink": 1, "downlink": 1, "baseline": 1},
+        }
+        spec.write_text(json.dumps({"profiles": [profile], "instances_per_profile": 2}))
+        code, out, _ = run_cli(capsys, "gen", "--spec", str(spec), "--seed", "4")
+        assert code == 0
+        target = tmp_path / "gen.csv"
+        args = ("gen", "--spec", str(spec), "--seed", "4", "--out", str(target))
+        assert run_cli(capsys, *args)[0] == 0
+        assert target.read_bytes() == out.encode("utf-8")
+        piped = tmp_path / "piped.csv"
+        piped.write_text(out, encoding="utf-8")
+        for path in (target, piped):
+            matrix = read_matrix_csv(path)
+            assert matrix.alternatives == ("LTE, band 7-0", "LTE, band 7-1")
 
     def test_gen_respects_margins(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--seed", "42")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netselect import (
+    METHODS,
     CriterionSpec,
     DecisionMatrix,
     Direction,
@@ -11,6 +12,7 @@ from netselect import (
     drop_alternative,
     duplicate_alternative,
     normalize,
+    rank,
     require_valid,
     validate_matrix,
 )
@@ -75,6 +77,65 @@ class TestValidateMatrix:
             [[1.0], [2.0]],
         )
         assert "dimension_mismatch" in [v.code for v in validate_matrix(m)]
+
+    def test_runs_once_per_matrix(self, monkeypatch):
+        import netselect.core
+
+        calls = []
+        original = netselect.core.validate_matrix
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(netselect.core, "validate_matrix", counting)
+        m = reference_matrix()
+        for _ in range(2):
+            require_valid(m)
+            normalize(m)
+            for method in METHODS:
+                rank(m, [0.2] * 5, method)
+        assert calls == [m]
+
+        bad = small_matrix([[1.0, 0.0]])
+        for _ in range(3):
+            with pytest.raises(MatrixValidationError) as err:
+                require_valid(bad)
+            assert [v.code for v in err.value.violations] == ["nonpositive_cost"]
+        assert calls == [m, bad]
+
+    def test_cell_scan_matches_per_cell_reference(self):
+        def reference(matrix):
+            found = []
+            for j, spec in enumerate(matrix.criteria):
+                column = matrix.values[:, j]
+                for i in range(matrix.n_alternatives):
+                    cell = column[i]
+                    if not np.isfinite(cell):
+                        found.append(("non_finite", f"value {cell!r} is not finite", i, j))
+                    elif spec.direction is Direction.COST and cell <= 0.0:
+                        message = f"cost criterion {spec.name!r} has non-positive value {cell!r}"
+                        found.append(("nonpositive_cost", message, i, j))
+                    elif spec.direction is Direction.BENEFIT and cell < 0.0:
+                        message = f"benefit criterion {spec.name!r} has negative value {cell!r}"
+                        found.append(("negative_benefit", message, i, j))
+                if (
+                    spec.direction is Direction.BENEFIT
+                    and np.all(np.isfinite(column))
+                    and float(np.max(column)) <= 0.0
+                ):
+                    message = f"benefit criterion {spec.name!r} has no positive value"
+                    found.append(("zero_benefit_column", message, None, j))
+            return found
+
+        rng = np.random.default_rng(99)
+        pool = np.array([0.0, -0.0, -2.5, 1.0, 7.0, np.nan, np.inf, -np.inf, 1e-300])
+        for _ in range(500):
+            n, m = rng.integers(1, 5), rng.integers(1, 4)
+            directions = tuple(rng.choice(["benefit", "cost"], size=m))
+            matrix = small_matrix(rng.choice(pool, size=(n, m)).tolist(), directions)
+            got = [(v.code, v.message, v.row, v.col) for v in validate_matrix(matrix)]
+            assert got == reference(matrix)
 
     def test_require_valid_raises_with_violations(self):
         m = DecisionMatrix(

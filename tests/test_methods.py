@@ -313,6 +313,19 @@ class TestTopsis:
         result = rank_topsis(reference_matrix(), preset_weights("voip"))
         assert result.order == ("N(3)", "N(2)", "N(4)", "N(5)", "N(0)", "N(1)")
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_extreme_column_magnitudes_rank_like_unit_scale(self, scale):
+        # Unscaled, the first column's Euclidean norm overflows to inf at
+        # 1e200 (silently dropping the criterion) and underflows to 0 at
+        # 1e-300 (rejecting a valid matrix).
+        unit = benefit_matrix([[1.0, 1.0], [0.5, 3.0]], labels=["x", "y"])
+        extreme = benefit_matrix([[scale, 1.0], [0.5 * scale, 3.0]], labels=["x", "y"])
+        expected = rank_topsis(unit, [0.9, 0.1])
+        result = rank_topsis(extreme, [0.9, 0.1])
+        assert result.order == expected.order == ("x", "y")
+        for label in ("x", "y"):
+            assert result.scores[label] == pytest.approx(expected.scores[label], rel=1e-12)
+
 
 class TestAhp:
     def test_single_criterion_sorts_by_direction(self):
