@@ -229,10 +229,14 @@ def require_valid(matrix: DecisionMatrix) -> DecisionMatrix:
 
 
 def normalize_values(values: np.ndarray, benefit: np.ndarray) -> np.ndarray:
-    """:func:`normalize` over the raw grid of an already validated matrix."""
+    """:func:`normalize` over raw grids of already validated matrices.
+
+    ``values`` holds alternatives on axis -2 and criteria on axis -1, so a
+    stack of grids ``(..., n, m)`` is normalized grid by grid.
+    """
     out = np.empty_like(values)
-    out[:, benefit] = values[:, benefit] / values[:, benefit].max(axis=0)
-    out[:, ~benefit] = values[:, ~benefit].min(axis=0) / values[:, ~benefit]
+    out[..., benefit] = values[..., benefit] / values[..., benefit].max(axis=-2, keepdims=True)
+    out[..., ~benefit] = values[..., ~benefit].min(axis=-2, keepdims=True) / values[..., ~benefit]
     return out
 
 
@@ -334,6 +338,31 @@ def as_weight_array(weights, n_criteria: int) -> np.ndarray:
     return arr
 
 
+def tie_order(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first order of the scores on the last axis, and each place's tie group.
+
+    Scores are sorted descending (stably); adjacent sorted scores no more
+    than :data:`TIE_TOLERANCE` apart chain into one tie group, so a group
+    can be wider than the tolerance. Groups keep their score order, and
+    each group lists its members by original index. This keeps the order
+    independent of last-ulp noise between mathematically tied scores (e.g.
+    the same totals accumulated in a different summation order). Returns
+    ``(order, group)``: the original indices best first, and the group
+    number (0, 1, ...) of each of those places. Leading axes are batched.
+    """
+    by_score = np.argsort(-scores, axis=-1, kind="stable")
+    ranked = np.take_along_axis(scores, by_score, axis=-1)
+    # A place opens a new group unless its gap to the place before is within
+    # tolerance ("not <=" rather than ">", so that a NaN gap opens one too).
+    opens = np.zeros(ranked.shape, dtype=bool)
+    opens[..., 1:] = ~(ranked[..., :-1] - ranked[..., 1:] <= TIE_TOLERANCE)
+    ranked_group = np.cumsum(opens, axis=-1)
+    group = np.empty_like(ranked_group)
+    np.put_along_axis(group, by_score, ranked_group, axis=-1)
+    order = np.argsort(group, axis=-1, kind="stable")
+    return order, np.take_along_axis(group, order, axis=-1)
+
+
 @dataclass(frozen=True)
 class RankingResult:
     """Scores and the induced total order for one method (higher is better).
@@ -354,30 +383,18 @@ class RankingResult:
         labels = tuple(labels)
         if arr.shape != (len(labels),):
             raise ValueError("one score per alternative required")
-        by_score = list(np.argsort(-arr, kind="stable"))
-
-        # Chain adjacent within-tolerance scores into tie groups, then order
-        # each group by original matrix index. This keeps the reported order
-        # independent of last-ulp noise between mathematically tied scores
-        # (e.g. the same totals accumulated in a different summation order).
-        chains: list[list[int]] = []
-        start = 0
-        while start < len(by_score):
-            stop = start
-            while (
-                stop + 1 < len(by_score)
-                and arr[by_score[stop]] - arr[by_score[stop + 1]] <= TIE_TOLERANCE
-            ):
-                stop += 1
-            chains.append(sorted(by_score[start : stop + 1]))
-            start = stop + 1
-
-        order = tuple(labels[i] for chain in chains for i in chain)
+        order, group = tie_order(arr)
+        order = order.tolist()
+        bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(order)]
         ties = tuple(
-            tuple(labels[i] for i in chain) for chain in chains if len(chain) > 1
+            tuple(labels[i] for i in order[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+            if stop - start > 1
         )
         score_map = {label: float(arr[i]) for i, label in enumerate(labels)}
-        return cls(method=method, scores=score_map, order=order, ties=ties)
+        return cls(
+            method=method, scores=score_map, order=tuple(labels[i] for i in order), ties=ties
+        )
 
     def to_dict(self) -> dict:
         return {

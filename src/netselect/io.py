@@ -31,12 +31,13 @@ def sidecar_path(csv_path: str | Path) -> Path:
 
 
 def _parse_directions(raw, count: int, origin: str) -> list[Direction]:
+    """Directions from ``Direction`` members or their names; the count is checked first."""
     if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{origin}: directions must be a list")
     if len(raw) != count:
         raise ParseError(f"{origin}: expected {count} directions, got {len(raw)}")
     try:
-        return [Direction.parse(str(item)) for item in raw]
+        return [d if isinstance(d, Direction) else Direction.parse(str(d)) for d in raw]
     except ValueError as exc:
         raise ParseError(f"{origin}: {exc}") from None
 
@@ -75,11 +76,7 @@ def read_matrix_csv(path: str | Path, directions=None) -> DecisionMatrix:
     units = [""] * len(names)
     resolved: list[Direction] | None = None
     if directions is not None:
-        resolved = [
-            d if isinstance(d, Direction) else Direction.parse(str(d)) for d in directions
-        ]
-        if len(resolved) != len(names):
-            raise ParseError(f"{path}: expected {len(names)} directions, got {len(resolved)}")
+        resolved = _parse_directions(tuple(directions), len(names), str(path))
     else:
         sidecar = sidecar_path(path)
         if sidecar.exists():

@@ -72,80 +72,93 @@ class MsawIncomeBreakdown:
             object.__setattr__(self, name, arr)
 
 
-def _column_positions(column: np.ndarray, benefit: bool, tie: TiePolicy) -> np.ndarray:
-    """Positions (0 = best) of each alternative within one criterion column."""
-    key = -column if benefit else column
-    order = np.argsort(key, kind="stable")
-    positions = np.empty(len(column), dtype=float)
-    positions[order] = np.arange(len(column), dtype=float)
+def _column_positions(values: np.ndarray, benefit: np.ndarray, tie: TiePolicy) -> np.ndarray:
+    """Positions (0 = best) of each alternative (axis -2) within each criterion column.
+
+    A stable sort per column orders the alternatives. Under MEAN_RANK a run
+    of equal keys spans sorted places start..stop, found by running max/min
+    over the run boundaries, and each member gets (start + stop) / 2.
+    """
+    key = np.where(benefit, -values, values)
+    order = np.argsort(key, axis=-2, kind="stable")
+    n = key.shape[-2]
+    place = np.arange(n)[:, None]
+    sorted_positions = np.broadcast_to(place.astype(float), key.shape)
     if tie is TiePolicy.MEAN_RANK:
-        sorted_key = key[order]
-        start = 0
-        while start < len(column):
-            stop = start
-            while stop + 1 < len(column) and sorted_key[stop + 1] == sorted_key[start]:
-                stop += 1
-            if stop > start:
-                positions[order[start : stop + 1]] = (start + stop) / 2.0
-            start = stop + 1
+        sorted_key = np.take_along_axis(key, order, axis=-2)
+        run_start = np.ones(key.shape, dtype=bool)
+        run_start[..., 1:, :] = sorted_key[..., 1:, :] != sorted_key[..., :-1, :]
+        run_stop = np.ones(key.shape, dtype=bool)
+        run_stop[..., :-1, :] = run_start[..., 1:, :]
+        start = np.maximum.accumulate(np.where(run_start, place, 0), axis=-2)
+        stop = np.flip(
+            np.minimum.accumulate(np.flip(np.where(run_stop, place, n - 1), axis=-2), axis=-2),
+            axis=-2,
+        )
+        sorted_positions = (start + stop) / 2.0
+    positions = np.empty(key.shape)
+    np.put_along_axis(positions, order, sorted_positions, axis=-2)
     return positions
 
 
 def _msaw_income(values, benefit, w, tie, alpha):
     """Rank positions, per-criterion incomes and the resolved alpha."""
-    n = values.shape[0]
+    n = values.shape[-2]
     if alpha is None:
         alpha = n
     elif alpha < n:
         raise ValueError(f"alpha must be >= number of alternatives ({n}), got {alpha}")
-    ranks = np.column_stack(
-        [_column_positions(values[:, j], benefit[j], tie) for j in range(values.shape[1])]
-    )
-    return ranks, (alpha - ranks) * w[None, :], alpha
+    ranks = _column_positions(values, benefit, tie)
+    return ranks, (alpha - ranks) * w, alpha
+
+
+# Scorers take raw grids with alternatives on axis -2 and criteria on axis -1,
+# so one call scores one matrix (n, m) or a stack of them (..., n, m). Weighted
+# sums are elementwise products summed over the last axis, not matrix
+# products, so a grid's scores do not depend on how many grids are stacked.
 
 
 def _score_msaw(values, benefit, w, tie, alpha):
-    return _msaw_income(values, benefit, w, tie, alpha)[1].sum(axis=1)
+    return _msaw_income(values, benefit, w, tie, alpha)[1].sum(axis=-1)
 
 
 def _score_saw(values, benefit, w, tie, alpha):
-    return normalize_values(values, benefit) @ w
+    return (normalize_values(values, benefit) * w).sum(axis=-1)
 
 
 def _score_wpm(values, benefit, w, tie, alpha):
     nonpositive = np.argwhere(values <= 0.0)
     if nonpositive.size:
-        row, col = (int(x) for x in nonpositive[0])
+        row, col = (int(x) for x in nonpositive[0][-2:])
         message = "weighted product needs strictly positive values"
         raise MatrixValidationError([Violation("nonpositive_value", message, row=row, col=col)])
-    return np.prod(normalize_values(values, benefit) ** w[None, :], axis=1)
+    return np.prod(normalize_values(values, benefit) ** w, axis=-1)
 
 
 def _score_topsis(values, benefit, w, tie, alpha):
     # Dividing by the column max first keeps the Euclidean norm within
     # [1, sqrt(n)], so it can neither overflow nor underflow; every column
     # max of a valid matrix is positive.
-    scaled = values / values.max(axis=0)
-    weighted = scaled / np.linalg.norm(scaled, axis=0) * w[None, :]
-    ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
-    anti_ideal = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
-    dist_ideal = np.linalg.norm(weighted - ideal[None, :], axis=1)
-    dist_anti = np.linalg.norm(weighted - anti_ideal[None, :], axis=1)
+    scaled = values / values.max(axis=-2, keepdims=True)
+    weighted = scaled / np.linalg.norm(scaled, axis=-2, keepdims=True) * w
+    best, worst = weighted.max(axis=-2, keepdims=True), weighted.min(axis=-2, keepdims=True)
+    ideal = np.where(benefit, best, worst)
+    anti_ideal = np.where(benefit, worst, best)
+    dist_ideal = np.linalg.norm(weighted - ideal, axis=-1)
+    dist_anti = np.linalg.norm(weighted - anti_ideal, axis=-1)
     total = dist_ideal + dist_anti
     # All alternatives identical: every point is both ideal and anti-ideal.
     return np.where(total > 0.0, dist_anti / np.where(total > 0.0, total, 1.0), 0.5)
 
 
 def _score_ahp(values, benefit, w, tie, alpha):
-    local = np.empty_like(values)
-    for j in range(values.shape[1]):
-        column = values[:, j]
-        adjusted = column if benefit[j] else 1.0 / column
-        local[:, j] = adjusted / adjusted.sum()
-    return local @ w
+    adjusted = values.copy()
+    adjusted[..., ~benefit] = 1.0 / values[..., ~benefit]
+    local = adjusted / adjusted.sum(axis=-2, keepdims=True)
+    return (local * w).sum(axis=-1)
 
 
-# Each scorer maps the raw values of a validated matrix, its benefit mask, the
+# Each scorer maps the raw values of validated matrices, the benefit mask, the
 # weight array, tie and alpha (read by msaw only) to one score per alternative.
 _SCORERS = {
     "msaw": _score_msaw,
@@ -155,6 +168,14 @@ _SCORERS = {
     "ahp": _score_ahp,
 }
 METHODS = tuple(_SCORERS)
+
+
+def scorer(method: str):
+    """The method table's array function for an identifier; unknown ones are rejected."""
+    fn = _SCORERS.get(method)
+    if fn is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    return fn
 
 
 def _checked(matrix: DecisionMatrix, weights):
@@ -175,10 +196,7 @@ def rank(
     identifier, checks the matrix (see :func:`require_valid`) and the
     weights once, and scores with the method's entry in the method table.
     """
-    scorer = _SCORERS.get(method)
-    if scorer is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    scores = scorer(*_checked(matrix, weights), tie, alpha)
+    scores = scorer(method)(*_checked(matrix, weights), tie, alpha)
     return RankingResult.from_scores(method, matrix.alternatives, scores)
 
 

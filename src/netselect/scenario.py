@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
+import numpy as np
+
 from .core import CriterionSpec, DecisionMatrix, Direction, require_valid
-from .rng import SplitMix64
+from .rng import stream_uint64, unit_doubles
 
 # Criterion layout every generated matrix (and the bundled benchmark) uses.
 STANDARD_CRITERIA = (
@@ -40,10 +42,13 @@ class EnergyCoeffs:
 
 
 def energy_consumption(th_up: float, th_down: float, coeffs) -> float:
-    """Power draw in mJ/s for the given uplink/downlink throughput in Mbps."""
+    """Power draw in mJ/s for the given uplink/downlink throughput in Mbps.
+
+    Throughputs may be floats or equal-shape arrays; the result has their shape.
+    """
     if not isinstance(coeffs, EnergyCoeffs):
         coeffs = EnergyCoeffs(*coeffs)
-    if th_up < 0.0 or th_down < 0.0:
+    if np.any(np.less(th_up, 0.0)) or np.any(np.less(th_down, 0.0)):
         raise ValueError("throughput must be nonnegative")
     return coeffs.uplink * th_up + coeffs.downlink * th_down + coeffs.baseline
 
@@ -108,6 +113,40 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
 
+def generate_values(spec: ScenarioSpec, seeds) -> np.ndarray:
+    """Value grids of the matrices :func:`generate_matrix` draws for each seed.
+
+    Returns an array of shape ``(len(seeds), n, 5)``, one matrix per seed,
+    where ``n`` is ``len(spec.profiles) * spec.instances_per_profile``; the
+    spec's own seed is ignored. Row ``i`` of a matrix takes outputs 3i+1,
+    3i+2 and 3i+3 of its seed's SplitMix64 stream as the bandwidth, delay
+    and PLR uniforms, and every value comes out of the same floating-point
+    operations as a draw of :meth:`SplitMix64.uniform` would, so each grid
+    is bit-identical whatever the number of seeds.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    per = spec.instances_per_profile
+    n = len(spec.profiles) * per
+    uniforms = unit_doubles(stream_uint64(seeds, 3 * n)).reshape(len(seeds), n, 3)
+    values = np.empty((len(seeds), n, len(STANDARD_CRITERIA)))
+    # Overflow gives inf (and inf * 0 gives nan) silently, as in Python float
+    # arithmetic; validation then reports the non-finite value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, profile in enumerate(spec.profiles):
+            rows = slice(p * per, (p + 1) * per)
+            ranges = (profile.bandwidth_range, profile.delay_range, profile.plr_range)
+            for col, (low, high) in enumerate(ranges):
+                values[:, rows, col] = low + (high - low) * uniforms[:, rows, col]
+            bandwidth = values[:, rows, 0]
+            values[:, rows, 3] = energy_consumption(
+                bandwidth * spec.uplink_fraction,
+                bandwidth * (1.0 - spec.uplink_fraction),
+                profile.energy_coeffs,
+            )
+            values[:, rows, 4] = profile.cost_level
+    return values
+
+
 def generate_matrix(spec: ScenarioSpec) -> DecisionMatrix:
     """Draw one decision matrix from a scenario spec.
 
@@ -116,21 +155,15 @@ def generate_matrix(spec: ScenarioSpec) -> DecisionMatrix:
     part of the determinism contract). The energy column applies the
     profile's power model to the drawn bandwidth split by
     ``uplink_fraction``; the cost column is the profile's cost level.
+    This is :func:`generate_values` for the spec's seed, with labels.
     """
-    rng = SplitMix64(spec.seed)
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    for profile in spec.profiles:
-        for k in range(spec.instances_per_profile):
-            bandwidth = rng.uniform(*profile.bandwidth_range)
-            delay = rng.uniform(*profile.delay_range)
-            plr = rng.uniform(*profile.plr_range)
-            th_up = bandwidth * spec.uplink_fraction
-            th_down = bandwidth * (1.0 - spec.uplink_fraction)
-            energy = energy_consumption(th_up, th_down, profile.energy_coeffs)
-            labels.append(f"{profile.name}-{k}")
-            rows.append([bandwidth, delay, plr, energy, profile.cost_level])
-    return require_valid(DecisionMatrix(labels, STANDARD_CRITERIA, rows))
+    labels = [
+        f"{profile.name}-{k}"
+        for profile in spec.profiles
+        for k in range(spec.instances_per_profile)
+    ]
+    values = generate_values(spec, [spec.seed])[0]
+    return require_valid(DecisionMatrix(labels, STANDARD_CRITERIA, values))
 
 
 # The bundled six-network benchmark used throughout the tests and demos.

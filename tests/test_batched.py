@@ -1,0 +1,378 @@
+"""Differential tests of the batched Monte-Carlo path against its scalar references.
+
+The vector SplitMix64 stream is checked against :class:`SplitMix64`, the
+batched generator against :func:`generate_matrix`, the array scorers against
+:func:`rank`, and :func:`monte_carlo_reversal` against the per-trial loop it
+replaced, which is kept here verbatim as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from netselect import (
+    METHODS,
+    EnergyCoeffs,
+    MatrixValidationError,
+    RatProfile,
+    ScenarioSpec,
+    SplitMix64,
+    TiePolicy,
+    derive_seed,
+    drop_alternative,
+    example_scenario,
+    generate_matrix,
+    monte_carlo_reversal,
+    preset_weights,
+    rank,
+    reversal_experiment,
+)
+from netselect import analysis
+from netselect.core import TIE_TOLERANCE, RankingResult, tie_order
+from netselect.methods import _column_positions, scorer
+from netselect.rng import derive_seeds, randrange_first_draws, stream_uint64, unit_doubles
+from netselect.scenario import generate_values
+
+VOIP = preset_weights("voip")
+GAMMA = 0x9E3779B97F4A7C15
+EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 - GAMMA, GAMMA]
+
+
+def loop_monte_carlo(
+    spec, weights, methods, trials, seed=None, tie=TiePolicy.MEAN_RANK, alpha=None
+):
+    """The per-trial Monte-Carlo loop the batched path replaced (reference)."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("at least one method required")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    base_seed = spec.seed if seed is None else seed
+    counts = {m: 0 for m in methods}
+    for trial in range(trials):
+        trial_rng = SplitMix64(derive_seed(base_seed, trial))
+        matrix = generate_matrix(spec.with_seed(trial_rng.next_uint64()))
+        removed = matrix.alternatives[trial_rng.randrange(matrix.n_alternatives)]
+        for method in methods:
+            report = reversal_experiment(matrix, weights, method, removed, tie=tie, alpha=alpha)
+            if report.reversed:
+                counts[method] += 1
+    return counts
+
+
+def profile(name, bw=(1.0, 60.0), delay=(10.0, 150.0), plr=(0.5, 8.0), cost=1.0):
+    return RatProfile(name, bw, delay, plr, cost, EnergyCoeffs(2.0, 0.5, 1.0))
+
+
+def degenerate_spec(instances=3):
+    """Constant columns and equal rows, so column positions and scores tie."""
+    return ScenarioSpec(
+        (
+            profile("A", bw=(5.0, 5.0), delay=(20.0, 20.0), plr=(1.0, 1.0)),
+            profile("B", bw=(5.0, 5.0), delay=(20.0, 40.0), plr=(1.0, 1.0)),
+            profile("C", bw=(2.0, 9.0), delay=(20.0, 20.0), plr=(1.0, 2.0), cost=0.5),
+        ),
+        instances_per_profile=instances,
+    )
+
+
+def random_weights(rng):
+    return rng.uniform(0.0, 1.0, size=5) + np.array([0.0, 0.0, 0.0, 0.0, 0.01])
+
+
+class TestVectorStream:
+    def seeds(self):
+        rng = np.random.default_rng(5)
+        return EDGE_SEEDS + [int(x) for x in rng.integers(0, 2**64, size=40, dtype=np.uint64)]
+
+    def test_stream_equals_next_uint64(self):
+        seeds = self.seeds()
+        out = stream_uint64(np.array(seeds, dtype=np.uint64), 9)
+        assert out.shape == (len(seeds), 9) and out.dtype == np.uint64
+        for seed, row in zip(seeds, out.tolist()):
+            scalar = SplitMix64(seed)
+            assert row == [scalar.next_uint64() for _ in range(9)]
+
+    def test_unit_doubles_equal_random(self):
+        seeds = self.seeds()
+        doubles = unit_doubles(stream_uint64(seeds, 4))
+        for seed, row in zip(seeds, doubles.tolist()):
+            scalar = SplitMix64(seed)
+            assert row == [scalar.random() for _ in range(4)]
+
+    def test_derive_seeds_equal_derive_seed(self):
+        indices = np.array([0, 1, 2, 99, 2**32, 2**62], dtype=np.uint64)
+        for base in self.seeds():
+            got = derive_seeds(base, indices).tolist()
+            assert got == [derive_seed(base, int(i)) for i in indices]
+
+    def test_randrange_first_draws_match_scalar(self):
+        seeds = self.seeds()
+        draws = stream_uint64(seeds, 1)[:, 0]
+        # 2**63 + 1 rejects about half of all draws; 8 rejects none.
+        for n in (1, 2, 6, 7, 8, 1500, 2**63 + 1):
+            values, accepted = randrange_first_draws(draws, n)
+            limit = 2**64 - (2**64 % n)
+            for seed, draw, value, ok in zip(seeds, draws.tolist(), values.tolist(), accepted):
+                assert ok == (draw < limit)
+                if ok:
+                    assert value == SplitMix64(seed).randrange(n)
+        assert not randrange_first_draws(draws, 2**63 + 1)[1].all()
+
+    def test_arrays_raise_no_overflow_warning(self):
+        # Tier-1 turns RuntimeWarning into an error; wrapping must stay silent.
+        stream_uint64(np.array([2**64 - 1], dtype=np.uint64), 3)
+        derive_seeds(2**64 - 1, [2**63])
+
+
+class TestGenerateValues:
+    @pytest.mark.parametrize("instances", [1, 2, 5])
+    def test_equals_generate_matrix_for_every_seed(self, instances):
+        spec = ScenarioSpec(example_scenario().profiles, instances_per_profile=instances)
+        seeds = [0, 7, 2**64 - 1, 123456789]
+        values = generate_values(spec, seeds)
+        assert values.shape == (len(seeds), 3 * instances, 5)
+        for seed, grid in zip(seeds, values):
+            expected = generate_matrix(spec.with_seed(seed)).values
+            assert np.array_equal(grid, expected)
+
+    def test_grid_does_not_depend_on_batch(self):
+        spec = example_scenario()
+        seeds = np.arange(1, 40, dtype=np.uint64)
+        whole = generate_values(spec, seeds)
+        for k in (0, 5, 38):
+            assert np.array_equal(generate_values(spec, seeds[k : k + 1])[0], whole[k])
+
+
+def old_column_positions(column, benefit, tie):
+    """The while-loop column positions the sort-based version replaced (reference)."""
+    key = -column if benefit else column
+    order = np.argsort(key, kind="stable")
+    positions = np.empty(len(column), dtype=float)
+    positions[order] = np.arange(len(column), dtype=float)
+    if tie is TiePolicy.MEAN_RANK:
+        sorted_key = key[order]
+        start = 0
+        while start < len(column):
+            stop = start
+            while stop + 1 < len(column) and sorted_key[stop + 1] == sorted_key[start]:
+                stop += 1
+            if stop > start:
+                positions[order[start : stop + 1]] = (start + stop) / 2.0
+            start = stop + 1
+    return positions
+
+
+def old_chains(scores):
+    """The loop tie chaining of RankingResult.from_scores before tie_order (reference)."""
+    by_score = list(np.argsort(-scores, kind="stable"))
+    chains = []
+    start = 0
+    while start < len(by_score):
+        stop = start
+        while (
+            stop + 1 < len(by_score)
+            and scores[by_score[stop]] - scores[by_score[stop + 1]] <= TIE_TOLERANCE
+        ):
+            stop += 1
+        chains.append(sorted(by_score[start : stop + 1]))
+        start = stop + 1
+    return chains
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("tie", list(TiePolicy))
+    def test_column_positions_equal_loop(self, tie):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n, m = rng.integers(1, 30), rng.integers(1, 6)
+            values = rng.integers(1, 5, size=(3, n, m)).astype(float)  # many ties
+            benefit = rng.random(m) < 0.5
+            got = _column_positions(values, benefit, tie)
+            for t in range(3):
+                for j in range(m):
+                    expected = old_column_positions(values[t, :, j], benefit[j], tie)
+                    assert np.array_equal(got[t, :, j], expected)
+
+    def test_tie_order_equals_loop_chaining(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(0, 25))
+            # Near-ties: steps of about the tolerance chain into wide groups.
+            scores = np.round(rng.random(n) * 8) * 1e-9 + rng.integers(0, 3, size=n) * 1e-6
+            chains = old_chains(scores)
+            order, group = tie_order(scores)
+            assert order.tolist() == [i for chain in chains for i in chain]
+            assert group.tolist() == [g for g, chain in enumerate(chains) for _ in chain]
+            labels = [f"a{i}" for i in range(n)]
+            result = RankingResult.from_scores("x", labels, scores)
+            assert result.ties == tuple(
+                tuple(labels[i] for i in chain) for chain in chains if len(chain) > 1
+            )
+
+    def test_tie_order_rows_are_independent(self):
+        rng = np.random.default_rng(13)
+        scores = np.round(rng.random((20, 9)) * 4) / 4
+        order, group = tie_order(scores)
+        for row, o, g in zip(scores, order, group):
+            alone = tie_order(row)
+            assert np.array_equal(alone[0], o) and np.array_equal(alone[1], g)
+
+
+class TestRankEqualsBatch:
+    @pytest.mark.parametrize("instances", [2, 4, 9])
+    @pytest.mark.parametrize("tie", list(TiePolicy))
+    def test_scores_equal_exactly(self, instances, tie):
+        # n = 6, 12 and 27: sums over alternatives with 8 or more terms too.
+        spec = ScenarioSpec(example_scenario().profiles, instances_per_profile=instances)
+        seeds = np.arange(100, 113, dtype=np.uint64)
+        values = generate_values(spec, seeds)
+        benefit = generate_matrix(spec).benefit_mask
+        w = np.asarray(VOIP.weights)
+        for method in METHODS:
+            batch = scorer(method)(values, benefit, w, tie, None)
+            reduced_batch = scorer(method)(values[:, 1:], benefit, w, tie, None)
+            for t, seed in enumerate(seeds.tolist()):
+                matrix = generate_matrix(spec.with_seed(seed))
+                full = rank(matrix, VOIP, method, tie=tie)
+                assert [full.scores[a] for a in matrix.alternatives] == batch[t].tolist()
+                reduced_matrix = drop_alternative(matrix, matrix.alternatives[0])
+                reduced = rank(reduced_matrix, VOIP, method, tie=tie)
+                got = [reduced.scores[a] for a in reduced_matrix.alternatives]
+                assert got == reduced_batch[t].tolist()
+
+
+class TestMonteCarloEqualsLoop:
+    def test_random_cases(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        specs = [
+            example_scenario(),
+            ScenarioSpec(example_scenario().profiles, instances_per_profile=3),
+            degenerate_spec(),
+            degenerate_spec(1),
+        ]
+        for case in range(56):
+            spec = specs[case % len(specs)]
+            n = len(spec.profiles) * spec.instances_per_profile
+            # Small blocks, so that the trials cross block boundaries.
+            trials_per_block = int(rng.integers(1, 9))
+            monkeypatch.setattr(analysis, "BLOCK_VALUES", trials_per_block * n * 5)
+            trials = int(rng.integers(1, 40))
+            seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+            k = int(rng.integers(1, len(METHODS) + 1))
+            methods = tuple(rng.choice(METHODS, size=k, replace=False).tolist())
+            tie = list(TiePolicy)[case % 2]
+            alpha = None if case % 3 else n + int(rng.integers(0, 5))
+            weights = VOIP if case % 4 == 0 else random_weights(rng)
+            args = (spec, weights, methods, trials, seed, tie, alpha)
+            got = monte_carlo_reversal(*args)
+            assert got.reversal_counts == loop_monte_carlo(*args), case
+
+    def test_degenerate_spec_ties_and_reverses(self):
+        spec = degenerate_spec()
+        report = monte_carlo_reversal(spec, VOIP, METHODS, trials=300, seed=4)
+        assert report.reversal_counts == loop_monte_carlo(spec, VOIP, METHODS, 300, 4)
+        values = generate_values(spec, [1])[0]
+        assert len(np.unique(values[:, 0])) < len(values)  # tied columns
+
+    def test_golden_counts_for_every_block_size(self, monkeypatch):
+        spec = example_scenario()
+        golden = {"msaw": 372, "saw": 135, "wpm": 0, "topsis": 186, "ahp": 236}
+        for block_values in (30, 7 * 30, 999 * 30, 1 << 16):
+            monkeypatch.setattr(analysis, "BLOCK_VALUES", block_values)
+            report = monte_carlo_reversal(spec, VOIP, METHODS, trials=1000, seed=7)
+            assert report.reversal_counts == golden
+
+    def test_prefix_property(self):
+        # A run of t + 1 trials adds trial t's outcome to the run of t trials.
+        spec = example_scenario()
+        lengths = (1, 2, 272, 273, 274)  # 273 trials fill one block at n = 6
+        runs = [monte_carlo_reversal(spec, VOIP, METHODS, t, 3).reversal_counts for t in lengths]
+        assert runs == [loop_monte_carlo(spec, VOIP, METHODS, t, 3) for t in lengths]
+        for (t, short), (u, long) in zip(zip(lengths, runs), zip(lengths[1:], runs[1:])):
+            assert all(0 <= long[m] - short[m] <= u - t for m in METHODS)
+
+    def test_rejected_removal_draw_falls_back_to_the_loop(self, monkeypatch):
+        # A real rejection at n = 6 has probability about 2**-62 per trial, so
+        # here every removal draw that is 1 mod 3 counts as rejected.
+        real = analysis.randrange_first_draws
+        ran = []
+
+        def reject_some(draws, n):
+            values, accepted = real(draws, n)
+            return values, accepted & (draws % np.uint64(3) != 1)
+
+        def count_trials(*args):
+            ran.append(args[4])
+            return trial_reversals(*args)
+
+        trial_reversals = analysis._trial_reversals
+        monkeypatch.setattr(analysis, "randrange_first_draws", reject_some)
+        monkeypatch.setattr(analysis, "_trial_reversals", count_trials)
+        monkeypatch.setattr(analysis, "BLOCK_VALUES", 30)  # one trial per block
+        spec = example_scenario()
+        report = monte_carlo_reversal(spec, VOIP, METHODS, trials=30, seed=6)
+        assert report.reversal_counts == loop_monte_carlo(spec, VOIP, METHODS, 30, 6)
+
+        def removal_draw(trial):
+            stream = SplitMix64(derive_seed(6, trial))
+            stream.next_uint64()
+            return stream.next_uint64()
+
+        assert ran == [t for t in range(30) if removal_draw(t) % 3 == 1]
+        assert 0 < len(ran) < 30
+
+    def test_repeated_method_counts_twice(self):
+        spec = example_scenario()
+        methods = ("saw", "msaw", "saw")
+        report = monte_carlo_reversal(spec, VOIP, methods, trials=50, seed=8)
+        assert report.reversal_counts == loop_monte_carlo(spec, VOIP, methods, 50, 8)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the outcome under test is the exception itself
+        return (type(exc), str(exc))
+
+
+class TestErrorParity:
+    def both(self, spec, weights, methods, trials=20, seed=1, tie=TiePolicy.MEAN_RANK, alpha=None):
+        args = (spec, weights, methods, trials, seed, tie, alpha)
+        batched = outcome(lambda *a: monte_carlo_reversal(*a).reversal_counts, *args)
+        assert batched == outcome(loop_monte_carlo, *args)
+        return batched
+
+    def test_zero_delay_range_is_nonpositive_cost(self):
+        spec = ScenarioSpec((profile("A", delay=(0.0, 0.0)), profile("B")))
+        kind, message = self.both(spec, VOIP, METHODS)
+        assert kind is MatrixValidationError and message.startswith("nonpositive_cost")
+
+    def test_zero_bandwidth_beside_positive_fails_wpm_only(self):
+        spec = ScenarioSpec((profile("A", bw=(0.0, 0.0)), profile("B")), instances_per_profile=2)
+        kind, message = self.both(spec, VOIP, ("msaw", "saw", "wpm"))
+        assert kind is MatrixValidationError and message.startswith("nonpositive_value")
+        assert self.both(spec, VOIP, ("msaw", "saw", "topsis", "ahp"))[0] == "ok"
+
+    def test_alpha_below_n(self):
+        kind, message = self.both(example_scenario(), VOIP, METHODS, alpha=5)
+        assert kind is ValueError and "alpha" in message
+        assert self.both(example_scenario(), VOIP, ("saw",), alpha=5)[0] == "ok"
+
+    def test_unknown_method(self):
+        kind, message = self.both(example_scenario(), VOIP, ("saw", "bogus"))
+        assert kind is ValueError and "bogus" in message
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, 2.0], [1.0, -1.0, 1.0, 1.0, 1.0], [0.0] * 5, [np.nan, 1, 1, 1, 1]]
+    )
+    def test_bad_weights(self, weights):
+        assert self.both(example_scenario(), weights, ("msaw", "bogus"))[0] is ValueError
+
+    def test_single_alternative(self):
+        spec = ScenarioSpec((profile("A"),))
+        assert self.both(spec, VOIP, METHODS)[0] is ValueError
+
+    def test_overflowing_energy_is_non_finite(self):
+        huge = RatProfile("A", (1.0, 1e10), (5.0, 50.0), (0.1, 2.0), 1.0, (1e300, 1e300, 1.0))
+        kind, message = self.both(ScenarioSpec((huge, profile("B"))), VOIP, METHODS)
+        assert kind is MatrixValidationError and message.startswith("non_finite")

@@ -550,3 +550,46 @@ class TestSubprocessEntrypoint:
         assert proc.returncode == 0
         for token in ("exit codes", "usage", "I/O", "validation", "numeric"):
             assert token in proc.stdout
+
+
+class TestDirectionsFlag:
+    """--directions goes through the sidecar's parser: ParseError with the CSV path, exit 4."""
+
+    def write(self, tmp_path):
+        path = tmp_path / "custom.csv"
+        path.write_text("alternative,speed,price\nx,10,5\ny,20,2\n")
+        (tmp_path / "w.csv").write_text("0.5,0.5\n")
+        return path
+
+    def test_unknown_token_names_the_csv(self, tmp_path, capsys):
+        path = self.write(tmp_path)
+        code, _, err = run_cli(
+            capsys, "rank", "--matrix", str(path), "--weights", str(tmp_path / "w.csv"),
+            "--directions", "benefit,upward",
+        )
+        assert code == 4
+        assert err == f"error: {path}: unknown direction 'upward'; expected 'benefit' or 'cost'\n"
+
+    def test_count_is_checked_before_tokens(self, tmp_path, capsys):
+        path = self.write(tmp_path)
+        code, _, err = run_cli(
+            capsys, "rank", "--matrix", str(path), "--weights", str(tmp_path / "w.csv"),
+            "--directions", "benefit,upward,cost",
+        )
+        assert code == 4
+        assert err == f"error: {path}: expected 2 directions, got 3\n"
+
+    def test_same_message_as_a_sidecar_token(self, tmp_path):
+        from netselect import Direction
+        from netselect.io import ParseError
+
+        path = self.write(tmp_path)
+        with pytest.raises(ParseError, match="unknown direction 'upward'") as flag:
+            read_matrix_csv(path, directions=["benefit", "upward"])
+        sidecar_text = '{"directions": ["benefit", "upward"]}'
+        (tmp_path / "custom.csv.directions.json").write_text(sidecar_text)
+        with pytest.raises(ParseError) as sidecar:
+            read_matrix_csv(path)
+        assert str(flag.value).split(": ", 1)[1] == str(sidecar.value).split(": ", 1)[1]
+        matrix = read_matrix_csv(path, directions=[Direction.BENEFIT, "cost"])
+        assert matrix.directions == (Direction.BENEFIT, Direction.COST)
