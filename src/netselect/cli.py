@@ -6,6 +6,10 @@ Subcommands:
   reversal  drop/duplicate experiments and the Monte-Carlo frequency study
   gen       draw a synthetic matrix from a scenario spec and write it as CSV
 
+The argparse parser declares and checks every argument. Each subcommand
+names its ``cmd_*`` function with ``set_defaults(run=...)``, and that
+function reads the parsed namespace directly.
+
 Exit codes: 0 ok, 2 usage, 3 I/O, 4 validation (bad file content, invariant
 violations, unknown labels), 5 numeric failure.
 """
@@ -13,7 +17,6 @@ violations, unknown labels), 5 numeric failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     AgreementReport,
@@ -21,9 +24,8 @@ from .analysis import (
     monte_carlo_reversal,
     reversal_experiment,
 )
-from .core import DecisionMatrix, MatrixValidationError, RankingResult, require_valid
+from .core import DecisionMatrix, RankingResult, require_valid
 from .io import (
-    ParseError,
     matrix_to_csv_text,
     read_matrix_csv,
     read_pairwise_csv,
@@ -36,7 +38,6 @@ from .scenario import example_scenario, generate_matrix, reference_matrix
 from .weighting import ConvergenceError, preset_weights, principal_eigenvector
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_NUMERIC = 5
@@ -44,45 +45,39 @@ EXIT_NUMERIC = 5
 BUILTIN_MATRICES = ("table2", "reference")
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation parameters shared by the ranking-style commands."""
-
-    matrix_source: str
-    weights_source: str
-    methods: tuple[str, ...]
-    directions: tuple[str, ...] | None = None
-    tie: TiePolicy = TiePolicy.MEAN_RANK
-    alpha: int | None = None
-    fmt: str = "text"
-    agreement: bool = False
-    drop: str | None = None
-    duplicate: str | None = None
-    montecarlo: int | None = None
-    seed: int | None = None
-    spec: str | None = None
-
-
 def _parse_methods(raw: str) -> tuple[str, ...]:
     tokens = [token.strip().lower() for token in raw.split(",") if token.strip()]
     if not tokens:
-        raise ValueError("at least one method must be requested")
+        raise argparse.ArgumentTypeError("at least one method must be requested")
     if "all" in tokens:
         return METHODS
     for token in tokens:
         if token not in METHODS:
-            raise ValueError(
+            raise argparse.ArgumentTypeError(
                 f"unknown method {token!r}; expected one of {', '.join(METHODS)} or 'all'"
             )
     return tuple(dict.fromkeys(tokens))
 
 
-def _load_matrix(config: RunConfig) -> DecisionMatrix:
-    if config.matrix_source in BUILTIN_MATRICES:
-        matrix = reference_matrix()
-    else:
-        matrix = read_matrix_csv(config.matrix_source, directions=config.directions)
-    return require_valid(matrix)
+def _parse_directions(raw: str) -> tuple[str, ...] | None:
+    # An empty value counts as no flag: the sidecar or the default rule applies.
+    return tuple(token.strip() for token in raw.split(",")) if raw else None
+
+
+def _parse_trials(raw: str) -> int:
+    try:
+        trials = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"needs at least one trial, got {trials}")
+    return trials
+
+
+def _load_matrix(args) -> DecisionMatrix:
+    if args.matrix in BUILTIN_MATRICES:
+        return require_valid(reference_matrix())
+    return require_valid(read_matrix_csv(args.matrix, directions=args.directions))
 
 
 def _load_weights(source: str):
@@ -94,128 +89,106 @@ def _load_weights(source: str):
     return read_weights(source)
 
 
-def _render_rankings_text(results: list[RankingResult], out) -> None:
+def _render_rankings_text(results: list[RankingResult]) -> None:
     for result in results:
-        print(f"method: {result.method}", file=out)
+        print(f"method: {result.method}")
         labels = list(result.order)
         width = max(len("alternative"), *(len(label) for label in labels))
-        print(f"rank  {'alternative'.ljust(width)}  score", file=out)
+        print(f"rank  {'alternative'.ljust(width)}  score")
         for position, label in enumerate(labels, start=1):
             score = f"{result.scores[label]:.6f}"
-            print(f"{str(position).ljust(4)}  {label.ljust(width)}  {score}", file=out)
+            print(f"{str(position).ljust(4)}  {label.ljust(width)}  {score}")
         if result.ties:
             groups = "; ".join(", ".join(group) for group in result.ties)
-            print(f"ties: {groups}", file=out)
-        print("", file=out)
+            print(f"ties: {groups}")
+        print("")
 
 
-def _render_rankings_csv(results: list[RankingResult], out) -> None:
-    print("method,alternative,score,rank", file=out)
+def _render_rankings_csv(results: list[RankingResult]) -> None:
+    print("method,alternative,score,rank")
     for result in results:
         position = {label: i + 1 for i, label in enumerate(result.order)}
         for label in result.scores:
-            print(
-                f"{result.method},{label},{result.scores[label]!r},{position[label]}",
-                file=out,
-            )
+            print(f"{result.method},{label},{result.scores[label]!r},{position[label]}")
 
 
-def _emit_json(payload: dict, out) -> None:
-    print(json.dumps(payload, indent=2), file=out)
-
-
-def cmd_rank(config: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    matrix = _load_matrix(config)
-    weights = _load_weights(config.weights_source)
-    results = [
-        rank(matrix, weights, method, tie=config.tie, alpha=config.alpha)
-        for method in config.methods
-    ]
-    if config.fmt == "csv":
-        _render_rankings_csv(results, out)
-        return EXIT_OK
-    orders = {r.method: r.order for r in results}
-    report = AgreementReport.from_orders(config.methods, orders) if config.agreement else None
-    if config.fmt == "json":
+def cmd_rank(args) -> int:
+    """`rank`, and `compare`, which adds the pairwise Kendall-tau agreement table."""
+    matrix = _load_matrix(args)
+    weights = _load_weights(args.weights)
+    tie = TiePolicy(args.tie)
+    results = [rank(matrix, weights, method, tie=tie, alpha=args.alpha) for method in args.method]
+    report = None
+    if args.command == "compare":
+        report = AgreementReport.from_orders(args.method, {r.method: r.order for r in results})
+    if args.fmt == "csv":
+        _render_rankings_csv(results)
+    elif args.fmt == "json":
         payload = {"results": [r.to_dict() for r in results]}
         if report is not None:
             payload["agreement"] = report.to_dict()
-        _emit_json(payload, out)
+        print(json.dumps(payload, indent=2))
     else:
-        _render_rankings_text(results, out)
+        _render_rankings_text(results)
         if report is not None:
             width = max(len(m) for m in report.methods)
-            print("pairwise kendall tau:", file=out)
+            print("pairwise kendall tau:")
             header = " ".join(m.rjust(max(width, 7)) for m in report.methods)
-            print(f"{''.ljust(width)} {header}", file=out)
+            print(f"{''.ljust(width)} {header}")
             for method, row in zip(report.methods, report.tau):
                 cells = " ".join(f"{tau:+.4f}".rjust(max(width, 7)) for tau in row)
-                print(f"{method.ljust(width)} {cells}", file=out)
+                print(f"{method.ljust(width)} {cells}")
     return EXIT_OK
 
 
-def cmd_reversal(config: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    weights = _load_weights(config.weights_source)
-    if config.montecarlo is not None:
-        spec = read_scenario(config.spec) if config.spec else example_scenario()
+def cmd_reversal(args) -> int:
+    weights = _load_weights(args.weights)
+    tie = TiePolicy(args.tie)
+    if args.montecarlo is not None:
+        spec = read_scenario(args.spec) if args.spec else example_scenario()
         report = monte_carlo_reversal(
             spec,
             weights,
-            config.methods,
-            trials=config.montecarlo,
-            seed=config.seed,
-            tie=config.tie,
-            alpha=config.alpha,
+            args.method,
+            trials=args.montecarlo,
+            seed=args.seed,
+            tie=tie,
+            alpha=args.alpha,
         )
-        if config.fmt == "json":
-            _emit_json(report.to_dict(), out)
+        if args.fmt == "json":
+            print(json.dumps(report.to_dict(), indent=2))
         else:
-            print(f"trials: {report.trials}  seed: {report.seed}", file=out)
+            print(f"trials: {report.trials}  seed: {report.seed}")
             width = max(len("method"), *(len(m) for m in report.methods))
-            print(f"{'method'.ljust(width)}  reversals  frequency", file=out)
+            print(f"{'method'.ljust(width)}  reversals  frequency")
             for method in report.methods:
-                count = report.reversal_counts[method]
-                print(
-                    f"{method.ljust(width)}  {str(count).ljust(9)}  "
-                    f"{report.frequency(method):.4f}",
-                    file=out,
-                )
+                count = str(report.reversal_counts[method]).ljust(9)
+                print(f"{method.ljust(width)}  {count}  {report.frequency(method):.4f}")
         return EXIT_OK
 
-    matrix = _load_matrix(config)
-    if config.drop is not None:
-        reports = [
-            reversal_experiment(
-                matrix, weights, m, config.drop, tie=config.tie, alpha=config.alpha
-            )
-            for m in config.methods
-        ]
-    else:
-        reports = [
-            duplication_experiment(
-                matrix, weights, m, config.duplicate, tie=config.tie, alpha=config.alpha
-            )
-            for m in config.methods
-        ]
-    if config.fmt == "json":
-        _emit_json({"reports": [r.to_dict() for r in reports]}, out)
+    matrix = _load_matrix(args)
+    dropping = args.drop is not None
+    experiment = reversal_experiment if dropping else duplication_experiment
+    label = args.drop if dropping else args.duplicate
+    reports = [
+        experiment(matrix, weights, m, label, tie=tie, alpha=args.alpha) for m in args.method
+    ]
+    if args.fmt == "json":
+        print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2))
     else:
         for report in reports:
             flag = "yes" if report.reversed else "no"
-            after = report.reduced_order if config.drop is not None else report.filtered_order
-            print(f"method: {report.method}  reversed: {flag}", file=out)
-            print(f"  baseline: {' > '.join(report.baseline_order)}", file=out)
-            print(f"  after:    {' > '.join(after)}", file=out)
+            after = report.reduced_order if dropping else report.filtered_order
+            print(f"method: {report.method}  reversed: {flag}")
+            print(f"  baseline: {' > '.join(report.baseline_order)}")
+            print(f"  after:    {' > '.join(after)}")
             if report.flips:
                 pairs = ", ".join(f"({a}, {b})" for a, b in report.flips)
-                print(f"  flips:    {pairs}", file=out)
+                print(f"  flips:    {pairs}")
     return EXIT_OK
 
 
-def cmd_gen(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_gen(args) -> int:
     spec = read_scenario(args.spec) if args.spec else example_scenario()
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
@@ -223,11 +196,13 @@ def cmd_gen(args, out=None) -> int:
     if args.out:
         write_matrix_csv(matrix, args.out)
     else:
-        out.write(matrix_to_csv_text(matrix))
+        sys.stdout.write(matrix_to_csv_text(matrix))
     return EXIT_OK
 
 
-def _add_common_ranking_args(parser: argparse.ArgumentParser, default_method: str) -> None:
+def _add_common_ranking_args(
+    parser: argparse.ArgumentParser, default_method: str, formats=("text", "json")
+) -> None:
     parser.add_argument(
         "--matrix",
         required=True,
@@ -241,11 +216,13 @@ def _add_common_ranking_args(parser: argparse.ArgumentParser, default_method: st
     )
     parser.add_argument(
         "--method",
+        type=_parse_methods,
         default=default_method,
         help=f"comma-separated subset of {{{','.join(METHODS)}}} or 'all'",
     )
     parser.add_argument(
         "--directions",
+        type=_parse_directions,
         help="comma-separated benefit/cost flags, one per criterion "
         "(otherwise taken from a .directions.json sidecar, or defaulted for "
         "the standard column names)",
@@ -261,7 +238,7 @@ def _add_common_ranking_args(parser: argparse.ArgumentParser, default_method: st
         "--format",
         dest="fmt",
         default="text",
-        choices=("text", "json", "csv"),
+        choices=formats,
         help="output format (default: text)",
     )
 
@@ -280,20 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rank = sub.add_parser("rank", help="rank alternatives with one or more methods")
-    _add_common_ranking_args(p_rank, default_method="msaw")
+    _add_common_ranking_args(p_rank, default_method="msaw", formats=("text", "json", "csv"))
+    p_rank.set_defaults(run=cmd_rank)
 
     p_compare = sub.add_parser(
         "compare", help="rank with all methods and report pairwise agreement"
     )
     _add_common_ranking_args(p_compare, default_method="all")
+    p_compare.set_defaults(run=cmd_rank)
 
     p_rev = sub.add_parser("reversal", help="rank-reversal experiments")
     _add_common_ranking_args(p_rev, default_method="all")
-    p_rev.add_argument("--drop", help="label to remove for the drop experiment")
-    p_rev.add_argument("--duplicate", help="label to replicate for the duplication experiment")
-    p_rev.add_argument(
+    mode = p_rev.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--drop", help="label to remove for the drop experiment")
+    mode.add_argument("--duplicate", help="label to replicate for the duplication experiment")
+    mode.add_argument(
         "--montecarlo",
-        type=int,
+        type=_parse_trials,
         metavar="TRIALS",
         help="measure reversal frequency over random scenarios instead",
     )
@@ -302,63 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         help="scenario JSON for --montecarlo (default: bundled example scenario)",
     )
+    p_rev.set_defaults(run=cmd_reversal)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic matrix CSV")
-    p_gen.add_argument(
-        "--spec", help="scenario JSON (default: bundled example scenario)"
-    )
+    p_gen.add_argument("--spec", help="scenario JSON (default: bundled example scenario)")
     p_gen.add_argument("--seed", type=int, help="override the spec's seed")
     p_gen.add_argument(
         "--out", help="output CSV path (writes a .directions.json sidecar too); default stdout"
     )
+    p_gen.set_defaults(run=cmd_gen)
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args) -> RunConfig:
-    try:
-        methods = _parse_methods(args.method)
-    except ValueError as exc:
-        parser.error(str(exc))
-    directions = None
-    if args.directions:
-        directions = tuple(token.strip() for token in args.directions.split(","))
-    return RunConfig(
-        matrix_source=args.matrix,
-        weights_source=args.weights,
-        methods=methods,
-        directions=directions,
-        tie=TiePolicy.parse(args.tie),
-        alpha=args.alpha,
-        fmt=args.fmt,
-        agreement=args.command == "compare",
-        drop=getattr(args, "drop", None),
-        duplicate=getattr(args, "duplicate", None),
-        montecarlo=getattr(args, "montecarlo", None),
-        seed=getattr(args, "seed", None),
-        spec=getattr(args, "spec", None),
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        config = _config_from_args(parser, args)
-        if args.command == "reversal":
-            if args.montecarlo is None:
-                modes = [m for m in (args.drop, args.duplicate) if m is not None]
-                if len(modes) != 1:
-                    parser.error("reversal needs exactly one of --drop, --duplicate, --montecarlo")
-            else:
-                if args.montecarlo < 1:
-                    parser.error("--montecarlo needs at least one trial")
-                if args.drop is not None or args.duplicate is not None:
-                    parser.error("--montecarlo cannot be combined with --drop or --duplicate")
-            return cmd_reversal(config)
-        return cmd_rank(config)
+        return args.run(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO
@@ -368,9 +307,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, MatrixValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except KeyError as exc:
         print(f"error: unknown label {exc.args[0]!r}", file=sys.stderr)
         return EXIT_VALIDATION

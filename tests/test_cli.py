@@ -331,24 +331,19 @@ class TestReversal:
         assert "method: ahp  reversed: yes" in out
 
     def test_requires_exactly_one_mode(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["reversal", "--matrix", "table2", "--weights", "preset:voip"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "reversal",
-                    "--matrix",
-                    "table2",
-                    "--weights",
-                    "preset:voip",
-                    "--drop",
-                    "N(4)",
-                    "--duplicate",
-                    "N(2)",
-                ]
-            )
-        assert exc.value.code == 2
+        table2 = ["--matrix", "table2", "--weights", "preset:voip"]
+        for argv in (
+            ["reversal", *table2],
+            ["reversal", *table2, "--drop", "N(4)", "--duplicate", "N(2)"],
+            ["reversal", *table2, "--montecarlo", "5", "--drop", "N(4)"],
+            ["reversal", *table2, "--montecarlo", "0"],
+            # csv is a rank format; compare and reversal have no csv writer
+            ["compare", *table2, "--format", "csv"],
+            ["reversal", *table2, "--drop", "N(4)", "--format", "csv"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     def test_montecarlo_deterministic(self, capsys):
         argv = [

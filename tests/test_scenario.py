@@ -9,7 +9,9 @@ from netselect import (
     energy_consumption,
     example_scenario,
     generate_matrix,
+    read_scenario,
     reference_matrix,
+    write_scenario,
 )
 from netselect.rng import SplitMix64, derive_seed
 from netselect.scenario import STANDARD_CRITERIA
@@ -130,6 +132,21 @@ class TestGenerateMatrix:
         matrix = generate_matrix(example_scenario())
         assert len(set(matrix.alternatives)) == len(matrix.alternatives)
         assert matrix.alternatives[0] == "WiFi-0"
+
+
+class TestScenarioRoundTrip:
+    def test_write_then_read_is_identity(self, tmp_path):
+        example = example_scenario()
+        wide = ScenarioSpec(
+            (profile("wifi"), profile("lte", cost=2.5, coeffs=EnergyCoeffs(1.5, 0.25, 3.0))),
+            instances_per_profile=3,
+            seed=2**64 - 1,
+            uplink_fraction=0.25,
+        )
+        for spec in (example, wide):
+            path = tmp_path / "spec.json"
+            write_scenario(spec, path)
+            assert read_scenario(path) == spec
 
 
 class TestReferenceMatrix:
