@@ -34,13 +34,23 @@ from .scenario import STANDARD_CRITERIA, ScenarioSpec, generate_matrix, generate
 def _flipped_pairs(
     expected: tuple[str, ...], actual: tuple[str, ...]
 ) -> tuple[tuple[str, str], ...]:
-    """Pairs whose relative order differs; each pair is in expected order."""
+    """Pairs whose relative order differs; each pair is in expected order.
+
+    Pairs are sorted by the first label's index in ``expected``, then the
+    second's. With ``p[i]`` the position in ``actual`` of ``expected[i]``,
+    index i starts a flip only when some later label sits before it in
+    ``actual``, that is when ``p[i]`` exceeds the minimum of ``p[i+1:]``.
+    Only those indices are scanned, so the cost is O(n) plus O(n) per
+    overtaken label, not a walk over all n(n-1)/2 pairs.
+    """
     pos = {label: i for i, label in enumerate(actual)}
+    p = np.array([pos[label] for label in expected], dtype=np.intp)
+    later_min = np.minimum.accumulate(p[::-1])[::-1][1:]
     flips = []
-    for i, first in enumerate(expected):
-        for second in expected[i + 1 :]:
-            if pos[first] > pos[second]:
-                flips.append((first, second))
+    for i in np.flatnonzero(p[:-1] > later_min).tolist():
+        first = expected[i]
+        partners = i + 1 + np.flatnonzero(p[i + 1 :] < p[i])
+        flips.extend((first, expected[j]) for j in partners.tolist())
     return tuple(flips)
 
 

@@ -142,6 +142,13 @@ def cmd_rank(args) -> int:
 
 
 def cmd_reversal(args) -> int:
+    if args.montecarlo is None and args.matrix is None:
+        args.parser.error("--drop and --duplicate require --matrix")
+    if args.montecarlo is not None and args.matrix is not None:
+        args.parser.error(
+            "argument --matrix: not allowed with --montecarlo, "
+            "which draws its matrices from --spec (default: the bundled example scenario)"
+        )
     weights = _load_weights(args.weights)
     tie = TiePolicy(args.tie)
     if args.montecarlo is not None:
@@ -201,11 +208,14 @@ def cmd_gen(args) -> int:
 
 
 def _add_common_ranking_args(
-    parser: argparse.ArgumentParser, default_method: str, formats=("text", "json")
+    parser: argparse.ArgumentParser,
+    default_method: str,
+    formats=("text", "json"),
+    matrix_required=True,
 ) -> None:
     parser.add_argument(
         "--matrix",
-        required=True,
+        required=matrix_required,
         help="matrix CSV path, or 'table2' for the bundled benchmark matrix",
     )
     parser.add_argument(
@@ -267,22 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(run=cmd_rank)
 
     p_rev = sub.add_parser("reversal", help="rank-reversal experiments")
-    _add_common_ranking_args(p_rev, default_method="all")
+    _add_common_ranking_args(p_rev, default_method="all", matrix_required=False)
     mode = p_rev.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--drop", help="label to remove for the drop experiment")
-    mode.add_argument("--duplicate", help="label to replicate for the duplication experiment")
+    mode.add_argument("--drop", help="label to remove from --matrix for the drop experiment")
+    mode.add_argument(
+        "--duplicate", help="label of --matrix to replicate for the duplication experiment"
+    )
     mode.add_argument(
         "--montecarlo",
         type=_parse_trials,
         metavar="TRIALS",
-        help="measure reversal frequency over random scenarios instead",
+        help="measure reversal frequency over random scenarios drawn from --spec instead "
+        "(takes no --matrix)",
     )
     p_rev.add_argument("--seed", type=int, help="base seed for --montecarlo")
     p_rev.add_argument(
         "--spec",
         help="scenario JSON for --montecarlo (default: bundled example scenario)",
     )
-    p_rev.set_defaults(run=cmd_reversal)
+    p_rev.set_defaults(run=cmd_reversal, parser=p_rev)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic matrix CSV")
     p_gen.add_argument("--spec", help="scenario JSON (default: bundled example scenario)")

@@ -391,7 +391,7 @@ class RankingResult:
             for start, stop in zip(bounds, bounds[1:])
             if stop - start > 1
         )
-        score_map = {label: float(arr[i]) for i, label in enumerate(labels)}
+        score_map = dict(zip(labels, arr.tolist()))
         return cls(
             method=method, scores=score_map, order=tuple(labels[i] for i in order), ties=ties
         )

@@ -4,8 +4,11 @@
 values it sorts each criterion column, converts the per-criterion rank
 positions into weighted incomes, and sums those. Because only positions
 enter the score, the method is invariant under any strictly monotone
-rescaling of a column and, empirically, far more stable when alternatives
-appear or disappear.
+rescaling of a column. That does not make it stable when alternatives
+appear or disappear: over 10^5 Monte-Carlo trials of the example scenario
+(``preset:voip``, seed 7), removing one alternative reversed msaw's order in
+36.5% of trials, saw's in 14.9%, topsis's in 20.0%, ahp's in 23.8% and
+wpm's in none.
 
 ``saw``, ``wpm``, ``topsis``, and ``ahp`` are the classic value-based
 baselines in their standard textbook forms.
@@ -15,7 +18,8 @@ positive rescaling of weights of ordinary magnitude (such as weights that
 sum to 1). Tie groups use the absolute tolerance of
 :func:`core.tie_order`, so at extreme weight scales scores collapse into
 one tie group (saw, wpm and ahp at weights x 1e-9 on the bundled
-benchmark) or wpm's product underflows to 0 (at x 1e6).
+benchmark) or wpm's product underflows to 0 (at x 1e6). topsis divides the
+weights by their max first, so its order holds at every weight scale.
 """
 
 from dataclasses import dataclass
@@ -132,6 +136,10 @@ def _score_wpm(values, benefit, w, tie, alpha):
 
 
 def _score_topsis(values, benefit, w, tie, alpha):
+    # TOPSIS is degree-0 in w, so dividing w by its (positive) max changes no
+    # score beyond rounding but keeps the weighted distances from overflowing
+    # or underflowing at extreme weight scales.
+    w = w / w.max()
     # Dividing by the column max first keeps the Euclidean norm within
     # [1, sqrt(n)], so it can neither overflow nor underflow; every column
     # max of a valid matrix is positive.

@@ -389,8 +389,6 @@ def test_criterion_7_determinism(tmp_path, capsys):
 
     argv = [
         "reversal",
-        "--matrix",
-        "table2",
         "--weights",
         "preset:voip",
         "--montecarlo",

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -8,17 +11,33 @@ from netselect import (
     DecisionMatrix,
     Direction,
     METHODS,
+    TiePolicy,
     agreement_report,
+    analysis,
     duplication_experiment,
     example_scenario,
+    generate_matrix,
     kendall_tau,
     monte_carlo_reversal,
     preset_weights,
     reference_matrix,
     reversal_experiment,
 )
+from netselect.cli import main
+from netselect.io import write_matrix_csv
 
 VOIP = preset_weights("voip")
+
+
+def loop_flipped_pairs(expected, actual):
+    """The reference: every pair of ``expected`` checked against ``actual``."""
+    pos = {label: i for i, label in enumerate(actual)}
+    flips = []
+    for i, first in enumerate(expected):
+        for second in expected[i + 1 :]:
+            if pos[first] > pos[second]:
+                flips.append((first, second))
+    return tuple(flips)
 
 
 def witness_matrix():
@@ -175,6 +194,93 @@ class TestAgreementReport:
     def test_empty_methods_rejected(self):
         with pytest.raises(ValueError):
             agreement_report(reference_matrix(), VOIP, [])
+
+
+class TestFlippedPairs:
+    """The suffix-minimum enumeration against the loop over every pair."""
+
+    @staticmethod
+    def check(expected, actual):
+        expected, actual = tuple(expected), tuple(actual)
+        flips = analysis._flipped_pairs(expected, actual)
+        assert flips == loop_flipped_pairs(expected, actual)
+        return flips
+
+    def test_random_permutations(self):
+        rng = np.random.default_rng(2024)
+        for n in range(61):
+            labels = [f"x{i}" for i in range(n)]
+            for _ in range(5):
+                self.check(labels, rng.permutation(labels).tolist())
+
+    def test_tiny_identity_and_full_reversal(self):
+        for n in (0, 1, 2):
+            labels = [f"x{i}" for i in range(n)]
+            assert self.check(labels, labels) == ()
+            assert len(self.check(labels, labels[::-1])) == n * (n - 1) // 2
+
+    def test_single_element_moves(self):
+        # A drop experiment typically moves a few labels and leaves the rest in place.
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 10, 50, 200):
+            labels = [f"x{i}" for i in range(n)]
+            for moves in (1, 2, 3):
+                for _ in range(10):
+                    actual = list(labels)
+                    for _ in range(moves):
+                        label = actual.pop(int(rng.integers(n)))
+                        actual.insert(int(rng.integers(n)), label)
+                    self.check(labels, actual)
+
+    def test_experiments_on_tied_rows(self):
+        # Rows 0, 2 and 5 are equal, and so are rows 1 and 4: orders rest on
+        # tie breaking by matrix order, and a duplicate ties with its original.
+        rng = np.random.default_rng(11)
+        values = rng.uniform(1.0, 10.0, size=(8, 3))
+        values[[2, 5]] = values[0]
+        values[4] = values[1]
+        m = DecisionMatrix(
+            [f"r{i}" for i in range(8)],
+            (
+                CriterionSpec("c0", Direction.BENEFIT),
+                CriterionSpec("c1", Direction.COST),
+                CriterionSpec("c2", Direction.BENEFIT),
+            ),
+            values,
+        )
+        w = [0.5, 0.3, 0.2]
+        flipped = 0
+        for method, tie, label in itertools.product(METHODS, TiePolicy, m.alternatives):
+            dup = duplication_experiment(m, w, method, label, tie=tie)
+            assert dup.flips == loop_flipped_pairs(dup.baseline_order, dup.filtered_order)
+            drop = reversal_experiment(m, w, method, label, tie=tie)
+            assert drop.flips == loop_flipped_pairs(drop.expected_order, drop.reduced_order)
+            flipped += bool(dup.flips) + bool(drop.flips)
+        assert flipped > 0
+
+    def test_cli_output_equals_loop_oracle_output(self, tmp_path, monkeypatch):
+        spec = dataclasses.replace(example_scenario(), instances_per_profile=100)
+        path = tmp_path / "n300.csv"
+        write_matrix_csv(generate_matrix(spec.with_seed(5)), path)
+        runs = [
+            ["reversal", "--matrix", str(path), "--weights", "preset:voip", "--method", "all",
+             mode, "LTE-50", "--format", fmt]
+            for mode in ("--drop", "--duplicate")
+            for fmt in ("text", "json")
+        ]
+
+        def outputs():
+            captured = []
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(argv) == 0, argv
+                captured.append(out.getvalue())
+            return captured
+
+        fast = outputs()
+        monkeypatch.setattr(analysis, "_flipped_pairs", loop_flipped_pairs)
+        assert outputs() == fast
+        assert all("flips:" in text for text in fast[::2])  # the drop and duplicate text outputs
 
 
 class TestMonteCarlo:

@@ -337,6 +337,9 @@ class TestReversal:
             ["reversal", *table2, "--drop", "N(4)", "--duplicate", "N(2)"],
             ["reversal", *table2, "--montecarlo", "5", "--drop", "N(4)"],
             ["reversal", *table2, "--montecarlo", "0"],
+            # --montecarlo draws its matrices from --spec; --drop needs --matrix
+            ["reversal", "--matrix", "/no/such.csv", *table2[2:], "--montecarlo", "3"],
+            ["reversal", *table2[2:], "--drop", "N(4)"],
             # csv is a rank format; compare and reversal have no csv writer
             ["compare", *table2, "--format", "csv"],
             ["reversal", *table2, "--drop", "N(4)", "--format", "csv"],
@@ -350,8 +353,6 @@ class TestReversal:
             "reversal",
             "--weights",
             "preset:voip",
-            "--matrix",
-            "table2",
             "--montecarlo",
             "30",
             "--seed",
@@ -367,8 +368,6 @@ class TestReversal:
         code, out, _ = run_cli(
             capsys,
             "reversal",
-            "--matrix",
-            "table2",
             "--weights",
             "preset:voip",
             "--method",

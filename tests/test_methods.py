@@ -326,6 +326,20 @@ class TestTopsis:
         for label in ("x", "y"):
             assert result.scores[label] == pytest.approx(expected.scores[label], rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300, 1e6])
+    @pytest.mark.parametrize("preset", ["voip", "video", "best_effort"])
+    def test_extreme_weight_scales_rank_like_unit_scale(self, scale, preset):
+        # TOPSIS is degree-0 in the weights. Unrescaled, weights x 1e200 made
+        # every score NaN and x 1e-200 made every score 0.5 (one tie group).
+        m = reference_matrix()
+        w = np.array(preset_weights(preset).weights)
+        expected = rank_topsis(m, w)
+        result = rank_topsis(m, w * scale)
+        assert result.order == expected.order
+        assert result.ties == expected.ties
+        for label in m.alternatives:
+            assert result.scores[label] == pytest.approx(expected.scores[label], rel=1e-12)
+
 
 class TestAhp:
     def test_single_criterion_sorts_by_direction(self):
