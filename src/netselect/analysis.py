@@ -10,6 +10,10 @@ frequency per method over random scenarios.
 The Monte-Carlo mode draws, scores and orders a whole block of trials as
 ``(trials, n, m)`` arrays, with the same numbers as running the trials one
 by one (:func:`_trial_reversals`, which blocks it cannot batch fall back to).
+msaw's reduced matrices are not sorted again: deleting row k moves each row
+that sorts after k in a column up one place (half a place for a row tied
+with k under MEAN_RANK), so :func:`methods._msaw_drop_scores` derives the
+reduced positions from the full ones, exactly.
 """
 
 from collections import Counter
@@ -26,7 +30,7 @@ from .core import (
     duplicate_alternative,
     tie_order,
 )
-from .methods import TiePolicy, rank, scorer
+from .methods import TiePolicy, _msaw_drop_scores, rank, scorer
 from .rng import SplitMix64, derive_seed, derive_seeds, randrange_first_draws, stream_uint64
 from .scenario import STANDARD_CRITERIA, ScenarioSpec, generate_matrix, generate_values
 
@@ -257,8 +261,11 @@ class MonteCarloReport:
 
 # Trials per block are chosen so that a block's value grids hold about this
 # many numbers; the block size never changes a result. Blocks this small keep
-# every temporary array in cache and add little to peak memory: on the example
-# scenario, 2^13 ran faster than 2^16 and grew peak RSS by a third as much.
+# every temporary array in cache and add little to peak memory. On the example
+# scenario at 1000 trials per call, 2^12 ran 1.2x slower than 2^13, 2^14 about
+# 7% faster and 2^15 or 2^16 (one block per call) about 2% faster; but peak RSS
+# rose 1.1 MB (2^14) and 2.4 MB (2^15, 2^16) above the import baseline,
+# against 0.5 MB for 2^13.
 BLOCK_VALUES = 1 << 13
 
 
@@ -348,9 +355,14 @@ def _block_reversals(spec, weights, methods, base_seed, start, stop, tie, alpha)
     for method in methods:
         score = scorer(method)
         w = as_weight_array(weights, m)
-        baseline = tie_order(score(values, benefit, w, tie, alpha))[0]
+        if method == "msaw":
+            full_scores, reduced_scores = _msaw_drop_scores(values, benefit, w, tie, alpha, removed)
+        else:
+            full_scores = score(values, benefit, w, tie, alpha)
+            reduced_scores = score(reduced, benefit, w, tie, alpha)
+        baseline = tie_order(full_scores)[0]
         expected = baseline[baseline != removed[:, None]].reshape(trials, n - 1)
-        after = tie_order(score(reduced, benefit, w, tie, alpha))[0]
+        after = tie_order(reduced_scores)[0]
         after += after >= removed[:, None]  # reduced-matrix rows back to full-matrix rows
         counts[method] += int((after != expected).any(axis=1).sum())
     return counts

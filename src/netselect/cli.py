@@ -144,6 +144,10 @@ def cmd_rank(args) -> int:
 def cmd_reversal(args) -> int:
     if args.montecarlo is None and args.matrix is None:
         args.parser.error("--drop and --duplicate require --matrix")
+    if args.montecarlo is None:
+        for flag, value in (("--spec", args.spec), ("--seed", args.seed)):
+            if value is not None:
+                args.parser.error(f"argument {flag}: only --montecarlo reads it")
     if args.montecarlo is not None and args.matrix is not None:
         args.parser.error(
             "argument --matrix: not allowed with --montecarlo, "

@@ -352,11 +352,15 @@ def tie_order(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     by_score = np.argsort(-scores, axis=-1, kind="stable")
     ranked = np.take_along_axis(scores, by_score, axis=-1)
-    # A place opens a new group unless its gap to the place before is within
-    # tolerance ("not <=" rather than ">", so that a NaN gap opens one too).
-    opens = np.zeros(ranked.shape, dtype=bool)
-    opens[..., 1:] = ~(ranked[..., :-1] - ranked[..., 1:] <= TIE_TOLERANCE)
-    ranked_group = np.cumsum(opens, axis=-1)
+    # opens[..., p]: place p + 1 starts a new group, as its gap to place p is
+    # not within tolerance ("not <=" rather than ">", so a NaN gap opens one).
+    opens = ~(ranked[..., :-1] - ranked[..., 1:] <= TIE_TOLERANCE)
+    if opens.all():
+        # No place chains: every group is one place, so the score order is
+        # already the order and its groups are 0, 1, 2, ...
+        return by_score, np.zeros_like(by_score) + np.arange(ranked.shape[-1])
+    ranked_group = np.zeros_like(by_score)
+    ranked_group[..., 1:] = np.cumsum(opens, axis=-1)
     group = np.empty_like(ranked_group)
     np.put_along_axis(group, by_score, ranked_group, axis=-1)
     order = np.argsort(group, axis=-1, kind="stable")

@@ -114,8 +114,9 @@ def matrix_to_csv_text(matrix: DecisionMatrix) -> str:
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["alternative", *matrix.criterion_names])
-    for label, row in zip(matrix.alternatives, matrix.values):
-        writer.writerow([label, *(repr(float(v)) for v in row)])
+    # csv writes a float as its repr, the shortest string that reads back exactly.
+    rows = zip(matrix.alternatives, matrix.values.tolist())
+    writer.writerows([label, *row] for label, row in rows)
     return buffer.getvalue()
 
 

@@ -22,6 +22,7 @@ benchmark) or wpm's product underflows to 0 (at x 1e6). topsis divides the
 weights by their max first, so its order holds at every weight scale.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,27 +79,34 @@ def _column_positions(values: np.ndarray, benefit: np.ndarray, tie: TiePolicy) -
     A stable sort per column orders the alternatives. Under MEAN_RANK a run
     of equal keys spans sorted places start..stop, found by running max/min
     over the run boundaries, and each member gets (start + stop) / 2.
+
+    Each column is sorted and scanned along the last axis of a transposed
+    view, which numpy runs faster than along the strided axis -2, and the
+    sorted places are written back through flat offsets into a C-ordered
+    grid: with 9 or more criteria, numpy's sums over criteria round
+    differently on a transposed grid.
     """
     key = np.where(benefit, -values, values)
-    order = np.argsort(key, axis=-2, kind="stable")
-    n = key.shape[-2]
-    place = np.arange(n)[:, None]
-    sorted_positions = np.broadcast_to(place.astype(float), key.shape)
+    *lead, n, m = key.shape
+    order = np.argsort(key.swapaxes(-1, -2), axis=-1, kind="stable")
+    # offset[..., j, p]: where in key.ravel() the p-th best entry of column j sits.
+    grid_start = np.arange(math.prod(lead)).reshape(*lead, 1, 1) * (n * m)
+    offset = grid_start + order * m + np.arange(m)[:, None]
+    place = np.arange(n)
     if tie is TiePolicy.MEAN_RANK:
-        sorted_key = np.take_along_axis(key, order, axis=-2)
-        run_start = np.ones(key.shape, dtype=bool)
-        run_start[..., 1:, :] = sorted_key[..., 1:, :] != sorted_key[..., :-1, :]
-        run_stop = np.ones(key.shape, dtype=bool)
-        run_stop[..., :-1, :] = run_start[..., 1:, :]
-        start = np.maximum.accumulate(np.where(run_start, place, 0), axis=-2)
-        stop = np.flip(
-            np.minimum.accumulate(np.flip(np.where(run_stop, place, n - 1), axis=-2), axis=-2),
-            axis=-2,
-        )
-        sorted_positions = (start + stop) / 2.0
-    positions = np.empty(key.shape)
-    np.put_along_axis(positions, order, sorted_positions, axis=-2)
-    return positions
+        sorted_key = key.ravel()[offset]
+        run_start = np.ones(offset.shape, dtype=bool)
+        run_start[..., 1:] = sorted_key[..., 1:] != sorted_key[..., :-1]
+        run_stop = np.ones(offset.shape, dtype=bool)
+        run_stop[..., :-1] = run_start[..., 1:]
+        start = np.maximum.accumulate(np.where(run_start, place, 0), axis=-1)
+        stop = np.minimum.accumulate(np.where(run_stop, place, n - 1)[..., ::-1], axis=-1)
+        sorted_positions = (start + stop[..., ::-1]) / 2.0
+    else:
+        sorted_positions = place.astype(float)
+    positions = np.empty(key.size)
+    positions[offset] = sorted_positions
+    return positions.reshape(key.shape)
 
 
 def _msaw_income(values, benefit, w, tie, alpha):
@@ -110,6 +118,36 @@ def _msaw_income(values, benefit, w, tie, alpha):
         raise ValueError(f"alpha must be >= number of alternatives ({n}), got {alpha}")
     ranks = _column_positions(values, benefit, tie)
     return ranks, (alpha - ranks) * w, alpha
+
+
+def _msaw_drop_scores(values, benefit, w, tie, alpha, removed):
+    """msaw scores of a stack of grids ``(T, n, m)``, and of each with one row deleted.
+
+    ``removed[t]`` is the row deleted from grid t. The reduced positions come
+    from the full ones instead of a second sort: with ``key`` the sort key and
+    k the deleted row, survivor i moves up one place when ``key[k] < key[i]``;
+    when ``key[k] == key[i]`` it moves up half a place under MEAN_RANK (its
+    tied run loses one member) and one place under STABLE_INDEX if k < i.
+    The shifts are exact, so both results equal :func:`_score_msaw` of the
+    full and of the reduced grids bit for bit. Returns ``(full, reduced)``,
+    shaped ``(T, n)`` and ``(T, n - 1)``; alpha is checked on the full grids.
+    """
+    ranks, income, _ = _msaw_income(values, benefit, w, tie, alpha)
+    trials, n, _ = values.shape
+    key = np.where(benefit, -values, values)
+    removed_key = key[np.arange(trials), removed][:, None, :]
+    before = removed_key < key
+    tied = removed_key == key
+    if tie is TiePolicy.MEAN_RANK:
+        shift = before + 0.5 * tied
+    else:
+        shift = before | (tied & (np.arange(n) > removed[:, None])[..., None])
+    reduced_alpha = n - 1 if alpha is None else alpha
+    # Scores are row sums, so scoring all n rows and then deleting row k
+    # gives the same numbers as scoring the n - 1 survivors.
+    reduced = ((reduced_alpha - (ranks - shift)) * w).sum(axis=-1)
+    survivors = np.arange(n) != removed[:, None]
+    return income.sum(axis=-1), reduced[survivors].reshape(trials, n - 1)
 
 
 # Scorers take raw grids with alternatives on axis -2 and criteria on axis -1,

@@ -28,7 +28,7 @@ from netselect import (
 )
 from netselect import analysis
 from netselect.core import TIE_TOLERANCE, RankingResult, tie_order
-from netselect.methods import _column_positions, scorer
+from netselect.methods import _column_positions, _msaw_drop_scores, _score_msaw, scorer
 from netselect.rng import derive_seeds, randrange_first_draws, stream_uint64, unit_doubles
 from netselect.scenario import generate_values
 
@@ -179,6 +179,24 @@ def old_chains(scores):
     return chains
 
 
+def full_tie_order(scores):
+    """tie_order without its early return, so every input is regrouped (reference)."""
+    by_score = np.argsort(-scores, axis=-1, kind="stable")
+    ranked = np.take_along_axis(scores, by_score, axis=-1)
+    opens = np.zeros(ranked.shape, dtype=bool)
+    opens[..., 1:] = ~(ranked[..., :-1] - ranked[..., 1:] <= TIE_TOLERANCE)
+    ranked_group = np.cumsum(opens, axis=-1)
+    group = np.empty_like(ranked_group)
+    np.put_along_axis(group, by_score, ranked_group, axis=-1)
+    order = np.argsort(group, axis=-1, kind="stable")
+    return order, np.take_along_axis(group, order, axis=-1)
+
+
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestSharedKernels:
     @pytest.mark.parametrize("tie", list(TiePolicy))
     def test_column_positions_equal_loop(self, tie):
@@ -192,6 +210,25 @@ class TestSharedKernels:
                 for j in range(m):
                     expected = old_column_positions(values[t, :, j], benefit[j], tie)
                     assert np.array_equal(got[t, :, j], expected)
+
+    @pytest.mark.parametrize("tie", list(TiePolicy))
+    def test_msaw_drop_scores_equal_scoring_the_reduced_grid(self, tie):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            trials, n, m = 7, int(rng.integers(2, 12)), int(rng.integers(1, 13))
+            values = rng.integers(1, 4, size=(trials, n, m)).astype(float)  # many ties
+            benefit = rng.random(m) < 0.5
+            w = rng.random(m) + 0.01
+            for alpha in (None, n + int(rng.integers(0, 4))):
+                args = (benefit, w, tie, alpha)
+                full = _score_msaw(values, *args)
+                every_row = [np.full(trials, k) for k in range(n)]
+                for removed in every_row + [rng.integers(0, n, trials)]:
+                    got_full, got = _msaw_drop_scores(values, *args, removed)
+                    assert got_full.tolist() == full.tolist()
+                    for t, k in enumerate(removed.tolist()):
+                        reduced = np.delete(values[t], k, axis=0)
+                        assert got[t].tolist() == _score_msaw(reduced, *args).tolist()
 
     def test_tie_order_equals_loop_chaining(self):
         rng = np.random.default_rng(12)
@@ -208,6 +245,32 @@ class TestSharedKernels:
             assert result.ties == tuple(
                 tuple(labels[i] for i in chain) for chain in chains if len(chain) > 1
             )
+
+    def test_tie_order_equals_full_path(self):
+        tol = TIE_TOLERANCE
+        above = np.nextafter(tol, np.inf)  # one ulp wider than the tolerance
+        nan = np.nan
+        # Gaps of exactly tol (2tol - tol and tol - 0 are exact) chain; gaps one
+        # ulp wider, and NaN gaps, open a group.
+        rows = {
+            0: [[]],
+            1: [[0.3], [nan]],
+            2: [[0.3, 0.1], [0.1, 0.3], [tol, 0.0], [0.0, tol], [above, 0.0], [0.0, above],
+                [nan, 0.2], [0.2, nan], [nan, nan], [0.5, 0.5]],
+            3: [[2 * tol, tol, 0.0], [0.0, above, 2 * above], [tol, nan, 0.0], [nan, 0.0, tol],
+                [0.3, 0.2, 0.1], [0.1, 0.3, 0.2], [0.2, 0.2 - tol / 2, nan], [tol, 0.0, above]],
+        }
+        for n, group in rows.items():
+            # For n >= 2 some rows chain and some do not, so the batch takes the
+            # full path while a row alone may take the early return.
+            batch = np.array(group).reshape(len(group), n)
+            assert_same_arrays(tie_order(batch), full_tie_order(batch))
+            for r, (order, grp) in enumerate(zip(*tie_order(batch))):
+                for alone in (batch[r], batch[r : r + 1]):
+                    assert_same_arrays(tie_order(alone), full_tie_order(alone))
+                assert_same_arrays(tie_order(batch[r]), (order, grp))
+        chaining = tie_order(np.array([[0.3, 0.2, 0.1], [tol, 0.0, 0.5]]))
+        assert chaining[1].tolist() == [[0, 1, 2], [0, 1, 1]]  # the second row chains
 
     def test_tie_order_rows_are_independent(self):
         rng = np.random.default_rng(13)
@@ -250,8 +313,8 @@ class TestMonteCarloEqualsLoop:
             degenerate_spec(),
             degenerate_spec(1),
         ]
-        for case in range(56):
-            spec = specs[case % len(specs)]
+        for case in range(96):
+            spec = specs[(case // 2) % len(specs)]
             n = len(spec.profiles) * spec.instances_per_profile
             # Small blocks, so that the trials cross block boundaries.
             trials_per_block = int(rng.integers(1, 9))
@@ -262,6 +325,8 @@ class TestMonteCarloEqualsLoop:
             methods = tuple(rng.choice(METHODS, size=k, replace=False).tolist())
             tie = list(TiePolicy)[case % 2]
             alpha = None if case % 3 else n + int(rng.integers(0, 5))
+            if tie is TiePolicy.STABLE_INDEX and alpha is not None and "msaw" not in methods:
+                methods += ("msaw",)  # msaw's leave-one-out shifts under STABLE_INDEX
             weights = VOIP if case % 4 == 0 else random_weights(rng)
             args = (spec, weights, methods, trials, seed, tie, alpha)
             got = monte_carlo_reversal(*args)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import pytest
 
 from netselect import DecisionMatrix, reference_matrix
 from netselect.cli import main
-from netselect.io import read_matrix_csv, write_matrix_csv
+from netselect.io import matrix_to_csv_text, read_matrix_csv, write_matrix_csv
 
 
 def run_cli(capsys, *argv):
@@ -340,6 +342,9 @@ class TestReversal:
             # --montecarlo draws its matrices from --spec; --drop needs --matrix
             ["reversal", "--matrix", "/no/such.csv", *table2[2:], "--montecarlo", "3"],
             ["reversal", *table2[2:], "--drop", "N(4)"],
+            # only --montecarlo reads --spec and --seed
+            ["reversal", *table2, "--drop", "N(4)", "--spec", "/no/such.json"],
+            ["reversal", *table2, "--duplicate", "N(2)", "--seed", "3"],
             # csv is a rank format; compare and reversal have no csv writer
             ["compare", *table2, "--format", "csv"],
             ["reversal", *table2, "--drop", "N(4)", "--format", "csv"],
@@ -485,6 +490,28 @@ class TestRoundTrip:
         write_matrix_csv(matrix, path, sidecar=False)
         parsed = read_matrix_csv(path)
         assert parsed == matrix  # standard names carry default directions and units
+
+    def test_csv_text_equals_per_cell_repr(self, tmp_path):
+        # The per-cell writer matrix_to_csv_text replaced (reference).
+        def per_cell_csv_text(matrix):
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(["alternative", *matrix.criterion_names])
+            for label, row in zip(matrix.alternatives, matrix.values):
+                writer.writerow([label, *(repr(float(v)) for v in row)])
+            return buffer.getvalue()
+
+        base = reference_matrix()
+        awkward = [5e-324, 1e-300, 0.1, 1e16, 123456789.125]
+        labels = ['say "hi", then', "plain", "a\nb", "x,y", " pad "]
+        values = [awkward[k:] + awkward[:k] for k in range(5)]
+        matrix = DecisionMatrix(labels, base.criteria, values)
+        text = matrix_to_csv_text(matrix)
+        assert text == per_cell_csv_text(matrix)
+        assert '"say ""hi"", then"' in text
+        path = tmp_path / "m.csv"
+        write_matrix_csv(matrix, path)
+        assert read_matrix_csv(path).values.tolist() == values
 
     def test_bundled_reference_csv_matches_builtin(self):
         from importlib import resources

@@ -8,9 +8,11 @@ for byte. The cases: the six ``cli_table2`` benchmark commands for each
 preset; ``rank --method all`` as text/json/csv; ``compare`` as text/json;
 ``reversal --drop``/``--duplicate`` as text/json on the bundled table and,
 with ``--method all``, on a generated n = 1500 matrix; two ``--montecarlo``
-runs; ``gen``; and every exit-3/4/5 case of ``tests/test_cli.py``. For each
-differing case it prints the first line that differs. The last line of
-output is ``K of N identical``; the exit code is 1 when any case differs.
+runs; ``gen``; every exit-3/4/5 case of ``tests/test_cli.py``; and
+``reversal --drop`` given ``--spec`` and ``--seed``, which only
+``--montecarlo`` reads. For each differing case it prints the first line
+that differs. The last line of output is ``K of N identical``; the exit
+code is 1 when any case differs.
 """
 
 import json
@@ -106,6 +108,8 @@ def cases(work: Path, large_csv: str) -> list[list[str]]:
         ["rank", "--matrix", "table2", "--weights", "pairwise:" + f("nonrecip.csv")],
         ["EXPLODE", "rank", "--matrix", "table2", "--weights", "pairwise:" + f("pm2.csv")],
         ["reversal", *t2, "--drop", "N(9)"],
+        ["reversal", *t2, "--method", "saw", "--drop", "N(4)", "--spec", "/no/such.json",
+         "--seed", "3"],
         ["gen", "--spec", f("badspec.json")],
         ["gen", "--spec", "/no/spec.json"],
         ["rank", "--matrix", f("custom.csv"), "--weights", f("w_half.csv"),
