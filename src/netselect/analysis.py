@@ -7,9 +7,13 @@ the baseline ranking with the removed label deleted, enumerates every
 flipped pair, and offers a seeded Monte-Carlo mode that measures reversal
 frequency per method over random scenarios.
 
-The Monte-Carlo mode draws, scores and orders a whole block of trials as
-``(trials, n, m)`` arrays, with the same numbers as running the trials one
-by one (:func:`_trial_reversals`, which blocks it cannot batch fall back to).
+All three experiments run on one leave-one-out engine, :func:`_drop_orders`:
+it orders a stack of ``(trials, n, m)`` grids and each grid without one
+row. The drop experiment is a stack of one; the duplication experiment is
+the drop experiment run backwards (the expanded matrix without its replica
+is the original); the Monte-Carlo mode draws, scores and orders a whole
+block of trials, with the same numbers as running the trials one by one
+(:func:`_trial_reversals`, which blocks it cannot batch fall back to).
 msaw's reduced matrices are not sorted again: deleting row k moves each row
 that sorts after k in a column up one place (half a place for a row tied
 with k under MEAN_RANK), so :func:`methods._msaw_drop_scores` derives the
@@ -28,9 +32,10 @@ from .core import (
     as_weight_array,
     drop_alternative,
     duplicate_alternative,
+    require_valid,
     tie_order,
 )
-from .methods import TiePolicy, _msaw_drop_scores, rank, scorer
+from .methods import _SCORERS, TiePolicy, _msaw_drop_scores, rank, scorer
 from .rng import SplitMix64, derive_seed, derive_seeds, randrange_first_draws, stream_uint64
 from .scenario import STANDARD_CRITERIA, ScenarioSpec, generate_matrix, generate_values
 
@@ -70,16 +75,34 @@ class ReversalReport:
     reversed: bool
     flips: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "baseline_order": list(self.baseline_order),
-            "removed": self.removed,
-            "reduced_order": list(self.reduced_order),
-            "expected_order": list(self.expected_order),
-            "reversed": self.reversed,
-            "flips": [list(pair) for pair in self.flips],
-        }
+
+def _drop_orders(values, benefit, w, method, tie, alpha, removed, reduced):
+    """Best-first rows of each grid of a stack, and of it without one row.
+
+    ``values`` is ``(T, n, m)`` and ``reduced`` is the survivor stack
+    ``(T, n - 1, m)``: grid t without row ``removed[t]``. msaw does not read
+    it, as :func:`methods._msaw_drop_scores` derives the reduced scores from
+    the full positions; the other methods score it with their array
+    scorer. Returns ``(baseline, after)``, shaped ``(T, n)`` and
+    ``(T, n - 1)``, both in full-grid row numbers.
+    """
+    if method == "msaw":
+        full, reduced_scores = _msaw_drop_scores(values, benefit, w, tie, alpha, removed)
+    else:
+        score = _SCORERS[method]
+        full, reduced_scores = (score(grid, benefit, w, tie, alpha) for grid in (values, reduced))
+    after = tie_order(reduced_scores)[0]
+    after += after >= removed[:, None]  # reduced-grid rows back to full-grid rows
+    return tie_order(full)[0], after
+
+
+def _drop_labels(full, reduced, label, w, method, tie, alpha):
+    """Best-first labels of ``full`` and of ``reduced``, which is ``full`` without ``label``."""
+    row = np.array([full.index_of(label)])
+    orders = _drop_orders(
+        full.values[None], full.benefit_mask, w, method, tie, alpha, row, reduced.values[None]
+    )
+    return tuple(tuple(full.alternatives[i] for i in order[0].tolist()) for order in orders)
 
 
 def reversal_experiment(
@@ -93,11 +116,13 @@ def reversal_experiment(
     """Rank, drop one alternative, re-rank, and report every flipped pair.
 
     ``reversed`` is true iff the reduced order differs from the baseline
-    order with ``removed`` deleted.
+    order with ``removed`` deleted. The method, matrix, weights, label and
+    reduced matrix are checked, in that order, before any scoring.
     """
-    baseline = rank(matrix, weights, method, tie=tie, alpha=alpha).order
-    reduced_matrix = drop_alternative(matrix, removed)
-    reduced = rank(reduced_matrix, weights, method, tie=tie, alpha=alpha).order
+    scorer(method)
+    w = as_weight_array(weights, require_valid(matrix).n_criteria)
+    reduced_matrix = require_valid(drop_alternative(matrix, removed))
+    baseline, reduced = _drop_labels(matrix, reduced_matrix, removed, w, method, tie, alpha)
     expected = tuple(label for label in baseline if label != removed)
     flips = _flipped_pairs(expected, reduced)
     return ReversalReport(
@@ -124,18 +149,6 @@ class DuplicationReport:
     reversed: bool
     flips: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "baseline_order": list(self.baseline_order),
-            "duplicated": self.duplicated,
-            "copy_label": self.copy_label,
-            "expanded_order": list(self.expanded_order),
-            "filtered_order": list(self.filtered_order),
-            "reversed": self.reversed,
-            "flips": [list(pair) for pair in self.flips],
-        }
-
 
 def duplication_experiment(
     matrix: DecisionMatrix,
@@ -146,11 +159,16 @@ def duplication_experiment(
     tie: TiePolicy = TiePolicy.MEAN_RANK,
     alpha: int | None = None,
 ) -> DuplicationReport:
-    """Append a replica row, re-rank, and compare the originals' order."""
-    baseline = rank(matrix, weights, method, tie=tie, alpha=alpha).order
-    expanded_matrix = duplicate_alternative(matrix, duplicated, copy_label)
+    """Append a replica row, re-rank, and compare the originals' order.
+
+    This is the drop experiment run backwards: the expanded matrix is the
+    full grid, and dropping its replica (the last row) gives ``matrix``.
+    """
+    scorer(method)
+    w = as_weight_array(weights, require_valid(matrix).n_criteria)
+    expanded_matrix = require_valid(duplicate_alternative(matrix, duplicated, copy_label))
     copy_label = expanded_matrix.alternatives[-1]
-    expanded = rank(expanded_matrix, weights, method, tie=tie, alpha=alpha).order
+    expanded, baseline = _drop_labels(expanded_matrix, matrix, copy_label, w, method, tie, alpha)
     filtered = tuple(label for label in expanded if label != copy_label)
     flips = _flipped_pairs(baseline, filtered)
     return DuplicationReport(
@@ -214,13 +232,6 @@ class AgreementReport:
     def tau_between(self, method_a: str, method_b: str) -> float:
         return self.tau[self.methods.index(method_a)][self.methods.index(method_b)]
 
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "orders": {m: list(o) for m, o in self.orders.items()},
-            "tau": [list(row) for row in self.tau],
-        }
-
 
 def agreement_report(
     matrix: DecisionMatrix,
@@ -249,15 +260,6 @@ class MonteCarloReport:
     def frequency(self, method: str) -> float:
         return self.reversal_counts[method] / self.trials
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "reversal_counts": dict(self.reversal_counts),
-            "frequencies": {m: self.frequency(m) for m in self.methods},
-        }
-
 
 # Trials per block are chosen so that a block's value grids hold about this
 # many numbers; the block size never changes a result. Blocks this small keep
@@ -280,11 +282,11 @@ def monte_carlo_reversal(
 ) -> MonteCarloReport:
     """Measure per-method reversal frequency over random matrices and removals.
 
-    Trial t derives its own child seed from (seed, t), so results are
-    reproducible and independent of whether trials run serially or in
-    parallel, and a longer run extends a shorter one. Each trial draws a
-    matrix from the scenario spec, removes one uniformly chosen
-    alternative, and records which methods reverse.
+    Trial t derives its own child seed from (seed, t) alone, so results
+    are reproducible, the block size never changes a count, and a longer
+    run extends a shorter one. Each trial draws a matrix from the scenario
+    spec, removes one uniformly chosen alternative, and records which
+    methods reverse.
 
     Trials run in blocks, each drawn, scored and ordered as arrays by
     :func:`_block_reversals`. A block it cannot batch runs trial by trial
@@ -315,7 +317,7 @@ def monte_carlo_reversal(
 
 
 def _trial_reversals(spec, weights, methods, base_seed, trial, tie, alpha) -> list[str]:
-    """The methods that reverse on one trial, one method at a time (the reference).
+    """The methods that reverse on one trial, by :func:`reversal_experiment`.
 
     A method listed twice is listed twice.
     """
@@ -353,16 +355,9 @@ def _block_reversals(spec, weights, methods, base_seed, start, stop, tie, alpha)
     benefit = np.array([c.direction is Direction.BENEFIT for c in STANDARD_CRITERIA])
     counts = Counter()
     for method in methods:
-        score = scorer(method)
+        scorer(method)
         w = as_weight_array(weights, m)
-        if method == "msaw":
-            full_scores, reduced_scores = _msaw_drop_scores(values, benefit, w, tie, alpha, removed)
-        else:
-            full_scores = score(values, benefit, w, tie, alpha)
-            reduced_scores = score(reduced, benefit, w, tie, alpha)
-        baseline = tie_order(full_scores)[0]
+        baseline, after = _drop_orders(values, benefit, w, method, tie, alpha, removed, reduced)
         expected = baseline[baseline != removed[:, None]].reshape(trials, n - 1)
-        after = tie_order(reduced_scores)[0]
-        after += after >= removed[:, None]  # reduced-matrix rows back to full-matrix rows
         counts[method] += int((after != expected).any(axis=1).sum())
     return counts

@@ -17,6 +17,7 @@ violations, unknown labels), 5 numeric failure.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .analysis import (
     AgreementReport,
@@ -124,9 +125,9 @@ def cmd_rank(args) -> int:
     if args.fmt == "csv":
         _render_rankings_csv(results)
     elif args.fmt == "json":
-        payload = {"results": [r.to_dict() for r in results]}
+        payload = {"results": [asdict(r) for r in results]}
         if report is not None:
-            payload["agreement"] = report.to_dict()
+            payload["agreement"] = asdict(report)
         print(json.dumps(payload, indent=2))
     else:
         _render_rankings_text(results)
@@ -167,7 +168,8 @@ def cmd_reversal(args) -> int:
             alpha=args.alpha,
         )
         if args.fmt == "json":
-            print(json.dumps(report.to_dict(), indent=2))
+            frequencies = {m: report.frequency(m) for m in report.methods}
+            print(json.dumps({**asdict(report), "frequencies": frequencies}, indent=2))
         else:
             print(f"trials: {report.trials}  seed: {report.seed}")
             width = max(len("method"), *(len(m) for m in report.methods))
@@ -185,7 +187,7 @@ def cmd_reversal(args) -> int:
         experiment(matrix, weights, m, label, tie=tie, alpha=args.alpha) for m in args.method
     ]
     if args.fmt == "json":
-        print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2))
+        print(json.dumps({"reports": [asdict(r) for r in reports]}, indent=2))
     else:
         for report in reports:
             flag = "yes" if report.reversed else "no"

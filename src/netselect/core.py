@@ -399,11 +399,3 @@ class RankingResult:
         return cls(
             method=method, scores=score_map, order=tuple(labels[i] for i in order), ties=ties
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "scores": self.scores,
-            "order": list(self.order),
-            "ties": [list(group) for group in self.ties],
-        }

@@ -10,11 +10,12 @@ shortest round-trip representation so write-then-read is lossless.
 
 import csv
 import json
+from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 
 from .core import CriterionSpec, DecisionMatrix, Direction, WeightVector
-from .scenario import STANDARD_CRITERIA, ScenarioSpec, scenario_from_dict, scenario_to_dict
+from .scenario import STANDARD_CRITERIA, ScenarioSpec, scenario_from_dict
 from .weighting import PairwiseMatrix
 
 # Directions may be defaulted only for this exact header (matching the
@@ -200,5 +201,5 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
 
 def write_scenario(spec: ScenarioSpec, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -89,7 +89,9 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Child seed for the index-th independent stream of a base seed.
 
     Equals the index-th output of a SplitMix64 stream seeded with
-    ``base_seed``, so serial and parallel consumers agree on every child.
+    ``base_seed``: child k depends on the base seed and k alone, so
+    children drawn in blocks of any size equal those drawn one by one, and
+    a longer run of children extends a shorter one.
     """
     if index < 0:
         raise ValueError("index must be nonnegative")

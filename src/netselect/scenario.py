@@ -214,29 +214,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     )
 
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "instances_per_profile": spec.instances_per_profile,
-        "seed": spec.seed,
-        "uplink_fraction": spec.uplink_fraction,
-        "profiles": [
-            {
-                "name": p.name,
-                "bandwidth_range": list(p.bandwidth_range),
-                "delay_range": list(p.delay_range),
-                "plr_range": list(p.plr_range),
-                "cost_level": p.cost_level,
-                "energy_coeffs": {
-                    "uplink": p.energy_coeffs.uplink,
-                    "downlink": p.energy_coeffs.downlink,
-                    "baseline": p.energy_coeffs.baseline,
-                },
-            }
-            for p in spec.profiles
-        ],
-    }
-
-
 def example_scenario() -> ScenarioSpec:
     """The bundled example scenario (Wi-Fi / 3G / LTE margins, illustrative energy model)."""
     text = resources.files("netselect").joinpath("data/example_scenario.json").read_text("utf-8")

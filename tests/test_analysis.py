@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from netselect import (
     TiePolicy,
     agreement_report,
     analysis,
+    drop_alternative,
+    duplicate_alternative,
     duplication_experiment,
     example_scenario,
     generate_matrix,
     kendall_tau,
     monte_carlo_reversal,
     preset_weights,
+    rank,
     reference_matrix,
     reversal_experiment,
 )
@@ -283,6 +287,83 @@ class TestFlippedPairs:
         assert all("flips:" in text for text in fast[::2])  # the drop and duplicate text outputs
 
 
+def reference_drop(matrix, weights, method, label, tie, alpha):
+    """The drop experiment as two :func:`rank` calls and the loop over every pair."""
+    baseline = rank(matrix, weights, method, tie=tie, alpha=alpha).order
+    reduced = rank(drop_alternative(matrix, label), weights, method, tie=tie, alpha=alpha).order
+    expected = tuple(other for other in baseline if other != label)
+    flips = loop_flipped_pairs(expected, reduced)
+    return (baseline, reduced, expected, bool(flips), flips)
+
+
+def reference_duplicate(matrix, weights, method, label, tie, alpha):
+    """The duplication experiment as two :func:`rank` calls and the loop over every pair."""
+    baseline = rank(matrix, weights, method, tie=tie, alpha=alpha).order
+    expanded_matrix = duplicate_alternative(matrix, label)
+    expanded = rank(expanded_matrix, weights, method, tie=tie, alpha=alpha).order
+    filtered = tuple(other for other in expanded if other != expanded_matrix.alternatives[-1])
+    flips = loop_flipped_pairs(baseline, filtered)
+    return (baseline, expanded, filtered, bool(flips), flips)
+
+
+class TestExperimentsEqualReference:
+    """Both experiments run on the leave-one-out engine; the reference ranks each matrix."""
+
+    def test_small_integer_matrices_with_ties(self):
+        rng = np.random.default_rng(31)
+        reversed_count = 0
+        for _ in range(12):
+            n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            criteria = tuple(
+                CriterionSpec(f"c{j}", Direction.BENEFIT if rng.random() < 0.5 else Direction.COST)
+                for j in range(m)
+            )
+            values = rng.integers(1, 4, size=(n, m)).astype(float)  # many ties
+            matrix = DecisionMatrix([f"r{i}" for i in range(n)], criteria, values)
+            weights = rng.integers(1, 4, size=m).astype(float)  # so that scores tie too
+            for method, tie, alpha, label in itertools.product(
+                METHODS, TiePolicy, (None, n + 2), matrix.alternatives
+            ):
+                args = (matrix, weights, method, label, tie, alpha)
+                drop = reversal_experiment(*args)
+                got = (drop.baseline_order, drop.reduced_order, drop.expected_order)
+                assert got + (drop.reversed, drop.flips) == reference_drop(*args)
+                dup = duplication_experiment(matrix, weights, method, label, tie=tie, alpha=alpha)
+                got = (dup.baseline_order, dup.expanded_order, dup.filtered_order)
+                assert got + (dup.reversed, dup.flips) == reference_duplicate(*args)
+                reversed_count += drop.reversed + dup.reversed
+        assert reversed_count > 0
+
+    def test_bad_inputs_raise_the_reference_error(self):
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as exc:  # the outcome under test is the exception itself
+                return (type(exc), str(exc))
+
+        criteria = (CriterionSpec("a", Direction.BENEFIT), CriterionSpec("b", Direction.COST))
+        # Only row y has a positive benefit value, so dropping y invalidates the matrix.
+        only_y = DecisionMatrix(["x", "y", "z"], criteria, [[0.0, 2.0], [5.0, 1.0], [0.0, 3.0]])
+        single = DecisionMatrix(["x"], criteria, [[1.0, 2.0]])
+        drop = (reversal_experiment, reference_drop)
+        dup = (duplication_experiment, reference_duplicate)
+        cases = [
+            (*drop, only_y, "saw", "y", None),  # the reduced matrix fails validation
+            (*drop, single, "msaw", "x", None),  # n = 1
+            (*drop, witness_matrix(), "saw", "nope", None),  # unknown label
+            (*dup, witness_matrix(), "saw", "nope", None),
+            (*dup, witness_matrix(), "msaw", "heavy", 3),  # alpha = n, below n + 1
+        ]
+        for experiment, reference, matrix, method, label, alpha in cases:
+            args = (matrix, [0.5, 0.5], method, label)
+            got = outcome(experiment, *args, tie=TiePolicy.MEAN_RANK, alpha=alpha)
+            assert isinstance(got, tuple)
+            assert got == outcome(reference, *args, tie=TiePolicy.MEAN_RANK, alpha=alpha)
+        # Below n the duplicate names the bound it needs, n + 1, at once.
+        with pytest.raises(ValueError, match=r"alternatives \(4\), got 2"):
+            duplication_experiment(witness_matrix(), [0.5, 0.5], "msaw", "heavy", alpha=2)
+
+
 class TestMonteCarlo:
     def test_golden_counts_seed_7(self):
         report = monte_carlo_reversal(example_scenario(), VOIP, METHODS, trials=1000, seed=7)
@@ -321,16 +402,20 @@ class TestMonteCarlo:
         long = monte_carlo_reversal(spec, VOIP, ("saw",), trials=20, seed=3)
         assert long.reversal_counts["saw"] >= short.reversal_counts["saw"]
 
+    def test_report_serializes(self):
+        # The report is a plain dataclass: asdict gives the JSON the CLI prints.
+        spec = example_scenario()
+        report = monte_carlo_reversal(spec, VOIP, ("msaw", "saw"), trials=5, seed=9)
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
+        assert data["trials"] == 5
+        assert data["seed"] == 9
+        assert data["methods"] == ["msaw", "saw"]
+        assert data["reversal_counts"] == report.reversal_counts
+        assert set(data["reversal_counts"]) == {"msaw", "saw"}
+
     def test_validation(self):
         spec = example_scenario()
         with pytest.raises(ValueError):
             monte_carlo_reversal(spec, VOIP, METHODS, trials=0, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_reversal(spec, VOIP, (), trials=5, seed=1)
-
-    def test_report_serializes(self):
-        spec = example_scenario()
-        report = monte_carlo_reversal(spec, VOIP, ("msaw", "saw"), trials=5, seed=9)
-        data = report.to_dict()
-        assert data["trials"] == 5
-        assert set(data["frequencies"]) == {"msaw", "saw"}

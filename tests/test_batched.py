@@ -24,7 +24,6 @@ from netselect import (
     monte_carlo_reversal,
     preset_weights,
     rank,
-    reversal_experiment,
 )
 from netselect import analysis
 from netselect.core import TIE_TOLERANCE, RankingResult, tie_order
@@ -40,7 +39,12 @@ EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 - GAMMA, GAMMA]
 def loop_monte_carlo(
     spec, weights, methods, trials, seed=None, tie=TiePolicy.MEAN_RANK, alpha=None
 ):
-    """The per-trial Monte-Carlo loop the batched path replaced (reference)."""
+    """The per-trial Monte-Carlo loop the batched path replaced (reference).
+
+    Each trial ranks the full and the reduced matrix with :func:`rank`, not
+    through the leave-one-out engine that the batched path and
+    :func:`reversal_experiment` share.
+    """
     methods = tuple(methods)
     if not methods:
         raise ValueError("at least one method required")
@@ -53,8 +57,10 @@ def loop_monte_carlo(
         matrix = generate_matrix(spec.with_seed(trial_rng.next_uint64()))
         removed = matrix.alternatives[trial_rng.randrange(matrix.n_alternatives)]
         for method in methods:
-            report = reversal_experiment(matrix, weights, method, removed, tie=tie, alpha=alpha)
-            if report.reversed:
+            baseline = rank(matrix, weights, method, tie=tie, alpha=alpha).order
+            reduced_matrix = drop_alternative(matrix, removed)
+            reduced = rank(reduced_matrix, weights, method, tie=tie, alpha=alpha).order
+            if reduced != tuple(label for label in baseline if label != removed):
                 counts[method] += 1
     return counts
 

@@ -106,6 +106,28 @@ class TestRank:
             main(["rank", "--matrix", "table2", "--weights", "preset:voip", "--method", "grey"])
         assert exc.value.code == 2
 
+    def test_empty_method_list_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--matrix", "table2", "--weights", "preset:voip", "--method", ","])
+        assert exc.value.code == 2
+        assert "at least one method must be requested" in capsys.readouterr().err
+
+    def test_text_output_lists_tie_groups(self, tmp_path, capsys):
+        # Rows x and z are equal, so their scores tie.
+        path = tmp_path / "tied.csv"
+        path.write_text("alternative,speed,price\nx,10,5\ny,20,2\nz,10,5\n")
+        weights = tmp_path / "w.csv"
+        weights.write_text("0.5,0.5\n")
+        argv = ["rank", "--matrix", str(path), "--weights", str(weights), "--method", "saw"]
+        code, out, _ = run_cli(capsys, *argv, "--directions", "benefit,cost")
+        assert code == 0
+        assert out.splitlines()[2:6] == [
+            "1     y            1.000000",
+            "2     x            0.450000",
+            "3     z            0.450000",
+            "ties: x, z",
+        ]
+
     def test_alpha_and_tie_flags(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -386,8 +408,17 @@ class TestReversal:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["trials"] == 10
-        assert set(payload["reversal_counts"]) == {"msaw", "saw"}
+        assert list(payload) == ["trials", "seed", "methods", "reversal_counts", "frequencies"]
+        assert payload["trials"] == 10 and payload["methods"] == ["msaw", "saw"]
+        counts = payload["reversal_counts"]
+        assert set(counts) == {"msaw", "saw"}
+        assert payload["frequencies"] == {m: counts[m] / 10 for m in ("msaw", "saw")}
+
+    def test_montecarlo_trials_must_be_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reversal", "--weights", "preset:voip", "--montecarlo", "abc"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 class TestGen:
