@@ -8,7 +8,7 @@ judgements (rule of thumb: CR above 0.1 deserves a second look).
 
 import numpy as np
 
-from netselect import PairwiseMatrix, consistency_ratio, principal_eigenvector
+from netselect import PairwiseMatrix, principal_eigenvector
 
 # Delay matters most, then packet loss; bandwidth, energy, and cost trail.
 judgements = PairwiseMatrix(
@@ -34,4 +34,4 @@ print("\nconstruct-then-recover:")
 print("  target:   ", tuple(float(x) for x in target))
 print("  recovered:", tuple(round(w, 12) for w in recovered.weights))
 print("  eigenvalue:", round(recovered.principal_eigenvalue, 9), "(matrix size 5)")
-print("  CR:", consistency_ratio(recovered, 5))
+print("  CR:", recovered.consistency_ratio)

@@ -70,7 +70,6 @@ from .weighting import (
     PairwiseMatrix,
     ServiceClass,
     WeightDerivation,
-    consistency_ratio,
     preset_weights,
     principal_eigenvector,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "WeightDerivation",
     "WeightVector",
     "agreement_report",
-    "consistency_ratio",
     "derive_seed",
     "drop_alternative",
     "duplicate_alternative",

@@ -155,18 +155,18 @@ def duplication_experiment(
     weights,
     method: str,
     duplicated: str,
-    copy_label: str | None = None,
     tie: TiePolicy = TiePolicy.MEAN_RANK,
     alpha: int | None = None,
 ) -> DuplicationReport:
     """Append a replica row, re-rank, and compare the originals' order.
 
-    This is the drop experiment run backwards: the expanded matrix is the
-    full grid, and dropping its replica (the last row) gives ``matrix``.
+    The replica is labelled ``"<duplicated> (copy)"``. This is the drop
+    experiment run backwards: the expanded matrix is the full grid, and
+    dropping its replica (the last row) gives ``matrix``.
     """
     scorer(method)
     w = as_weight_array(weights, require_valid(matrix).n_criteria)
-    expanded_matrix = require_valid(duplicate_alternative(matrix, duplicated, copy_label))
+    expanded_matrix = require_valid(duplicate_alternative(matrix, duplicated))
     copy_label = expanded_matrix.alternatives[-1]
     expanded, baseline = _drop_labels(expanded_matrix, matrix, copy_label, w, method, tie, alpha)
     filtered = tuple(label for label in expanded if label != copy_label)
@@ -233,18 +233,12 @@ class AgreementReport:
         return self.tau[self.methods.index(method_a)][self.methods.index(method_b)]
 
 
-def agreement_report(
-    matrix: DecisionMatrix,
-    weights,
-    methods,
-    tie: TiePolicy = TiePolicy.MEAN_RANK,
-    alpha: int | None = None,
-) -> AgreementReport:
-    """Rank with each method and cross-tabulate pairwise Kendall tau."""
+def agreement_report(matrix: DecisionMatrix, weights, methods) -> AgreementReport:
+    """Rank with each method at its defaults and cross-tabulate pairwise Kendall tau."""
     methods = tuple(methods)
     if not methods:
         raise ValueError("at least one method required")
-    orders = {m: rank(matrix, weights, m, tie=tie, alpha=alpha).order for m in methods}
+    orders = {m: rank(matrix, weights, m).order for m in methods}
     return AgreementReport.from_orders(methods, orders)
 
 

@@ -77,6 +77,11 @@ def _parse_trials(raw: str) -> int:
 
 def _load_matrix(args) -> DecisionMatrix:
     if args.matrix in BUILTIN_MATRICES:
+        if args.directions is not None:
+            args.parser.error(
+                f"argument --directions: not allowed with --matrix {args.matrix}, "
+                "whose directions are built in"
+            )
         return require_valid(reference_matrix())
     return require_valid(read_matrix_csv(args.matrix, directions=args.directions))
 
@@ -257,6 +262,7 @@ def _add_common_ranking_args(
         choices=formats,
         help="output format (default: text)",
     )
+    parser.set_defaults(parser=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         help="scenario JSON for --montecarlo (default: bundled example scenario)",
     )
-    p_rev.set_defaults(run=cmd_reversal, parser=p_rev)
+    p_rev.set_defaults(run=cmd_reversal)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic matrix CSV")
     p_gen.add_argument("--spec", help="scenario JSON (default: bundled example scenario)")

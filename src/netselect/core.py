@@ -264,13 +264,13 @@ def drop_alternative(matrix: DecisionMatrix, label: str) -> DecisionMatrix:
     return DecisionMatrix(labels, matrix.criteria, values)
 
 
-def duplicate_alternative(
-    matrix: DecisionMatrix, label: str, copy_label: str | None = None
-) -> DecisionMatrix:
-    """Return a copy of the matrix with an exact replica of one row appended."""
+def duplicate_alternative(matrix: DecisionMatrix, label: str) -> DecisionMatrix:
+    """Return a copy of the matrix with an exact replica of one row appended.
+
+    The replica is labelled ``"<label> (copy)"``, which must not already be a label.
+    """
     row = matrix.index_of(label)
-    if copy_label is None:
-        copy_label = f"{label} (copy)"
+    copy_label = f"{label} (copy)"
     if copy_label in matrix.alternatives:
         raise ValueError(f"copy label {copy_label!r} already exists")
     labels = matrix.alternatives + (copy_label,)

@@ -31,6 +31,14 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".directions.json")
 
 
+def _read_json(path: Path):
+    """Decode a JSON file; a syntax error becomes a ParseError naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+
+
 def _parse_directions(raw, count: int, origin: str) -> list[Direction]:
     """Directions from ``Direction`` members or their names; the count is checked first."""
     if not isinstance(raw, (list, tuple)):
@@ -81,10 +89,7 @@ def read_matrix_csv(path: str | Path, directions=None) -> DecisionMatrix:
     else:
         sidecar = sidecar_path(path)
         if sidecar.exists():
-            try:
-                meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{sidecar}: invalid JSON ({exc})") from None
+            meta = _read_json(sidecar)
             if not isinstance(meta, dict) or "directions" not in meta:
                 raise ParseError(f"{sidecar}: expected an object with a 'directions' list")
             resolved = _parse_directions(meta["directions"], len(names), str(sidecar))
@@ -121,34 +126,27 @@ def matrix_to_csv_text(matrix: DecisionMatrix) -> str:
     return buffer.getvalue()
 
 
-def write_matrix_csv(matrix: DecisionMatrix, path: str | Path, sidecar: bool = True) -> None:
-    """Write :func:`matrix_to_csv_text`; by default also write the directions/units sidecar."""
+def write_matrix_csv(matrix: DecisionMatrix, path: str | Path) -> None:
+    """Write :func:`matrix_to_csv_text` and the directions/units sidecar next to it."""
     path = Path(path)
     path.write_text(matrix_to_csv_text(matrix), encoding="utf-8", newline="")
-    if sidecar:
-        meta = {
-            "directions": [spec.direction.value for spec in matrix.criteria],
-            "units": [spec.unit for spec in matrix.criteria],
-        }
-        sidecar_path(path).write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    meta = {
+        "directions": [spec.direction.value for spec in matrix.criteria],
+        "units": [spec.unit for spec in matrix.criteria],
+    }
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    sidecar_path(path).write_text(text, encoding="utf-8")
 
 
 def read_weights(path: str | Path) -> WeightVector:
     """Read a weight vector from a one-row CSV or a JSON array."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(raw, list):
+        cells = _read_json(path)
+        if not isinstance(cells, list):
             raise ParseError(f"{path}: expected a JSON array of weights")
-        cells = raw
     else:
-        rows = [row for row in csv.reader(text.splitlines()) if row]
+        rows = [row for row in csv.reader(path.read_text(encoding="utf-8").splitlines()) if row]
         if len(rows) != 1:
             raise ParseError(f"{path}: expected a single CSV row of weights")
         cells = rows[0]
@@ -187,15 +185,12 @@ def read_pairwise_csv(path: str | Path) -> PairwiseMatrix:
 def read_scenario(path: str | Path) -> ScenarioSpec:
     """Read a scenario spec from JSON; validation errors are prefixed with the path."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object")
     try:
         return scenario_from_dict(raw)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

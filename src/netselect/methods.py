@@ -254,8 +254,10 @@ def rank_msaw(
     value for Benefit criteria, ascending for Cost), each receives the
     income (alpha - position) * weight, and an alternative's total score is
     the sum of its incomes. ``alpha`` defaults to the number of
-    alternatives; any larger value only shifts every score by the same
-    constant, so the order never depends on it.
+    alternatives. A larger value shifts every score by the same constant,
+    but rounds it to about ``alpha * 2**-53``: on the bundled benchmark
+    with the VoIP preset, alpha = 1e15 ties two pairs of distinct scores
+    and 1e17 ties all six, which returns matrix order.
     """
     ranks, income, alpha = _msaw_income(*_checked(matrix, weights), tie, alpha)
     result = RankingResult.from_scores("msaw", matrix.alternatives, income.sum(axis=1))

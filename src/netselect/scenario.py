@@ -11,6 +11,7 @@ every platform, thanks to the fixed SplitMix64 recurrence in
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -102,9 +103,11 @@ class ScenarioSpec:
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ValueError("profile names must be unique")
+        if not isinstance(self.instances_per_profile, Integral):
+            raise ValueError("instances_per_profile must be an integer")
         if self.instances_per_profile < 1:
             raise ValueError("instances_per_profile must be at least 1")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not 0.0 <= self.uplink_fraction <= 1.0:
             raise ValueError("uplink_fraction must be within [0, 1]")
@@ -204,8 +207,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         profiles = [_profile_from_dict(p) for p in data["profiles"]]
     except KeyError:
         raise ValueError("scenario is missing field 'profiles'") from None
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
     return ScenarioSpec(
         profiles=tuple(profiles),
         instances_per_profile=data.get("instances_per_profile", 1),

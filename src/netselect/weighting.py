@@ -92,59 +92,37 @@ def _consistency_ratio(principal_eigenvalue: float, m: int) -> float:
     return max(0.0, index / random_index)
 
 
-def consistency_ratio(derivation: WeightDerivation, m: int) -> float:
-    """Consistency ratio (lambda_max - m) / ((m - 1) * RI(m)); 0 for m <= 2."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return _consistency_ratio(derivation.principal_eigenvalue, m)
-
-
-def principal_eigenvector(
-    pm: PairwiseMatrix,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    start=None,
-) -> WeightDerivation:
+def principal_eigenvector(pm: PairwiseMatrix) -> WeightDerivation:
     """Dominant eigenpair of a pairwise matrix via power iteration.
 
-    Starts from the uniform vector (or ``start``, any positive vector; the
-    result is invariant under its positive rescaling), repeatedly
-    multiplies by the matrix and renormalizes to sum 1, and stops when
-    successive weight vectors differ by less than ``tol`` in max-norm. The
-    principal eigenvalue is estimated as the mean component-wise ratio
-    (pm @ w) / w at convergence.
+    Starts from the uniform vector, repeatedly multiplies by the matrix and
+    renormalizes to sum 1, and stops when successive weight vectors differ
+    by less than :data:`DEFAULT_TOL` in max-norm; raises
+    :class:`ConvergenceError` after :data:`DEFAULT_MAX_ITER` iterations
+    without that. The principal eigenvalue is estimated as the mean
+    component-wise ratio (pm @ w) / w at convergence, and the consistency
+    ratio is (lambda_max - m) / ((m - 1) * RI(m)), 0 for m <= 2.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
     mat = pm.values
     m = pm.size
-    if start is None:
-        w = np.full(m, 1.0 / m)
-    else:
-        w = np.asarray(start, dtype=float)
-        if w.shape != (m,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("start must be a positive vector matching the matrix size")
-        w = w / w.sum()
     if m == 1:
         return WeightDerivation(WeightVector((1.0,)), 1.0, 0.0, 0)
 
+    w = np.full(m, 1.0 / m)
     residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_MAX_ITER + 1):
         product = mat @ w
         w_next = product / product.sum()
         residual = float(np.max(np.abs(w_next - w)))
         w = w_next
-        if residual < tol:
+        if residual < DEFAULT_TOL:
             product = mat @ w
             eigenvalue = float(np.mean(product / w))
             weights = WeightVector.normalized(w)
             return WeightDerivation(
                 weights, eigenvalue, _consistency_ratio(eigenvalue, m), iteration
             )
-    raise ConvergenceError(max_iter, residual)
+    raise ConvergenceError(DEFAULT_MAX_ITER, residual)
 
 
 class ServiceClass(Enum):

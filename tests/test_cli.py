@@ -8,7 +8,7 @@ import pytest
 
 from netselect import DecisionMatrix, reference_matrix
 from netselect.cli import main
-from netselect.io import matrix_to_csv_text, read_matrix_csv, write_matrix_csv
+from netselect.io import matrix_to_csv_text, read_matrix_csv, sidecar_path, write_matrix_csv
 
 
 def run_cli(capsys, *argv):
@@ -507,6 +507,50 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--spec", "/no/spec.json")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("profiles", 5, id="profiles-int"),
+            pytest.param("profiles", ["WiFi"], id="profile-str"),
+            pytest.param(
+                "energy_coeffs",
+                {"uplink": 1, "downlink": 1, "baseline": 1, "idle": 1},
+                id="energy-extra-key",
+            ),
+            pytest.param("instances_per_profile", "2", id="instances-str"),
+            pytest.param("instances_per_profile", 2.5, id="instances-float"),
+            pytest.param("bandwidth_range", [1, 5, 11], id="range-3"),
+            pytest.param("cost_level", "1", id="cost-str"),
+            pytest.param("seed", 1.5, id="seed-float"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gen", "montecarlo"])
+    def test_mistyped_spec_exit_4_with_path(self, tmp_path, capsys, field, value, command):
+        spec = {  # valid for both commands until one field is mistyped
+            "seed": 3,
+            "instances_per_profile": 2,
+            "profiles": [
+                {
+                    "name": "WiFi",
+                    "bandwidth_range": [1, 11],
+                    "delay_range": [100, 150],
+                    "plr_range": [0.2, 3],
+                    "cost_level": 1,
+                    "energy_coeffs": {"uplink": 1, "downlink": 1, "baseline": 1},
+                },
+            ],
+        }
+        top_level = field in ("profiles", "instances_per_profile", "seed")
+        (spec if top_level else spec["profiles"][0])[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["gen"]
+        if command == "montecarlo":
+            argv = ["reversal", "--weights", "preset:voip", "--montecarlo", "3"]
+        code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {path}: ")
+
 
 class TestRoundTrip:
     def test_write_read_matrix_identity(self, tmp_path):
@@ -518,7 +562,8 @@ class TestRoundTrip:
     def test_default_directions_rule_without_sidecar(self, tmp_path):
         matrix = reference_matrix()
         path = tmp_path / "m.csv"
-        write_matrix_csv(matrix, path, sidecar=False)
+        write_matrix_csv(matrix, path)
+        sidecar_path(path).unlink()
         parsed = read_matrix_csv(path)
         assert parsed == matrix  # standard names carry default directions and units
 
@@ -631,6 +676,19 @@ class TestDirectionsFlag:
         assert code == 4
         assert err == f"error: {path}: expected 2 directions, got 3\n"
 
+    @pytest.mark.parametrize("command", [["rank"], ["reversal", "--drop", "N(2)"]])
+    @pytest.mark.parametrize("matrix", ["table2", "reference"])
+    def test_rejected_with_a_builtin_matrix(self, capsys, command, matrix):
+        argv = [*command, "--matrix", matrix, "--weights", "preset:voip"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--directions", "cost,cost,cost,cost,benefit"])
+        assert exit_info.value.code == 2
+        assert (
+            f"argument --directions: not allowed with --matrix {matrix}, "
+            "whose directions are built in" in capsys.readouterr().err
+        )
+        assert run_cli(capsys, *argv, "--directions", "")[0] == 0  # empty means no flag
+
     def test_same_message_as_a_sidecar_token(self, tmp_path):
         from netselect import Direction
         from netselect.io import ParseError
@@ -645,3 +703,70 @@ class TestDirectionsFlag:
         assert str(flag.value).split(": ", 1)[1] == str(sidecar.value).split(": ", 1)[1]
         matrix = read_matrix_csv(path, directions=[Direction.BENEFIT, "cost"])
         assert matrix.directions == (Direction.BENEFIT, Direction.COST)
+
+
+# One malformed file per ParseError branch of netselect.io: (files to write,
+# CLI arguments with {} for the first file, the file the error names, and
+# the message after "<file>: ").
+STANDARD_CSV = "alternative,Bandwidth,Delay,PLR,Energy,Cost\nx,1,1,1,1,1\n"
+MATRIX_ARGS = ["rank", "--matrix", "{}", "--weights", "preset:voip"]
+WEIGHTS_ARGS = ["rank", "--matrix", "table2", "--weights", "{}"]
+PAIRWISE_ARGS = ["rank", "--matrix", "table2", "--weights", "pairwise:{}"]
+SCENARIO_ARGS = ["gen", "--spec", "{}"]
+SIDECAR = "m.csv.directions.json"
+NOT_JSON = "invalid JSON (Expecting value: line 1 column 1 (char 0))"
+MALFORMED_FILES = {
+    "matrix-no-data-row": (
+        {"m.csv": "alternative,a\n"}, MATRIX_ARGS, "m.csv",
+        "need a header and at least one data row",
+    ),
+    "matrix-header": (
+        {"m.csv": "label,a\nx,1\n"}, MATRIX_ARGS, "m.csv",
+        "first header cell must be 'alternative'",
+    ),
+    "matrix-row-width": (
+        {"m.csv": "alternative,a,b\nx,1\n"}, MATRIX_ARGS, "m.csv",
+        "line 2 has 2 fields, expected 3",
+    ),
+    "sidecar-json": ({"m.csv": STANDARD_CSV, SIDECAR: "nope"}, MATRIX_ARGS, SIDECAR, NOT_JSON),
+    "sidecar-not-object": (
+        {"m.csv": STANDARD_CSV, SIDECAR: "[]"}, MATRIX_ARGS, SIDECAR,
+        "expected an object with a 'directions' list",
+    ),
+    "sidecar-directions-not-list": (
+        {"m.csv": STANDARD_CSV, SIDECAR: '{"directions": "benefit"}'}, MATRIX_ARGS, SIDECAR,
+        "directions must be a list",
+    ),
+    "sidecar-units": (
+        {"m.csv": STANDARD_CSV, SIDECAR: json.dumps({"directions": ["cost"] * 5, "units": ["s"]})},
+        MATRIX_ARGS, SIDECAR, "'units' must list one unit per criterion",
+    ),
+    "weights-json": ({"w.json": "nope"}, WEIGHTS_ARGS, "w.json", NOT_JSON),
+    "weights-json-not-array": (
+        {"w.json": '{"a": 1}'}, WEIGHTS_ARGS, "w.json", "expected a JSON array of weights",
+    ),
+    "weights-csv-rows": (
+        {"w.csv": "0.5,0.5\n0.5,0.5\n"}, WEIGHTS_ARGS, "w.csv",
+        "expected a single CSV row of weights",
+    ),
+    "weights-not-numbers": (
+        {"w.csv": "0.5,half\n"}, WEIGHTS_ARGS, "w.csv", "weights must all be numbers",
+    ),
+    "pairwise-empty": ({"p.csv": ""}, PAIRWISE_ARGS, "p.csv", "empty pairwise matrix"),
+    "pairwise-cell": (
+        {"p.csv": "1,x\n1,1\n"}, PAIRWISE_ARGS, "p.csv", "line 1 contains a non-numeric cell",
+    ),
+    "scenario-json": ({"s.json": "nope"}, SCENARIO_ARGS, "s.json", NOT_JSON),
+    "scenario-not-object": ({"s.json": "[]"}, SCENARIO_ARGS, "s.json", "expected a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_file_exit_4_names_the_file(tmp_path, capsys, case):
+    files, argv, culprit, message = MALFORMED_FILES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    first = tmp_path / next(iter(files))
+    code, out, err = run_cli(capsys, *(arg.format(first) for arg in argv))
+    assert (code, out) == (4, "")
+    assert err == f"error: {tmp_path / culprit}: {message}\n"

@@ -243,9 +243,10 @@ class TestDuplicateAlternative:
         assert dup.n_alternatives == 7
 
     def test_copy_label_collision_rejected(self):
-        m = reference_matrix()
-        with pytest.raises(ValueError):
-            duplicate_alternative(m, "N(2)", copy_label="N(3)")
+        base = reference_matrix()
+        m = DecisionMatrix(["x", "x (copy)"], base.criteria, base.values[:2])
+        with pytest.raises(ValueError, match=r"copy label 'x \(copy\)' already exists"):
+            duplicate_alternative(m, "x")
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):

@@ -8,10 +8,10 @@ from netselect import (
     PairwiseMatrix,
     ServiceClass,
     WeightVector,
-    consistency_ratio,
     preset_weights,
     principal_eigenvector,
 )
+from netselect import weighting
 from netselect.weighting import PRESET_WEIGHTS_RAW, RANDOM_INDEX
 
 
@@ -68,7 +68,7 @@ class TestPrincipalEigenvector:
             target = rng.uniform(0.1, 5.0, size=m)
             target /= target.sum()
             pm = PairwiseMatrix.from_priorities(target)
-            d = principal_eigenvector(pm, tol=1e-12)
+            d = principal_eigenvector(pm)
             assert np.allclose(d.weights.as_array(), target, atol=1e-11)
             assert abs(d.principal_eigenvalue - m) < 1e-6
 
@@ -78,15 +78,6 @@ class TestPrincipalEigenvector:
         assert d.principal_eigenvalue >= 3.0
         assert d.consistency_ratio > 0.0
 
-    def test_start_vector_scaling_invariance(self):
-        pm = PairwiseMatrix([[1.0, 2.0, 7.0], [0.5, 1.0, 0.25], [1 / 7, 4.0, 1.0]])
-        start = np.array([0.2, 0.5, 0.3])
-        base = principal_eigenvector(pm, start=start)
-        for c in (0.01, 7.0, 1e4):
-            scaled = principal_eigenvector(pm, start=start * c)
-            assert scaled.weights.weights == pytest.approx(base.weights.weights, abs=1e-15)
-            assert scaled.iterations == base.iterations
-
     def test_reciprocal_transpose_has_same_weights(self):
         pm = PairwiseMatrix([[1.0, 2.0, 7.0], [0.5, 1.0, 0.25], [1 / 7, 4.0, 1.0]])
         transposed = PairwiseMatrix(1.0 / pm.values.T)
@@ -94,21 +85,14 @@ class TestPrincipalEigenvector:
         b = principal_eigenvector(transposed)
         assert np.allclose(a.weights.as_array(), b.weights.as_array(), atol=1e-9)
 
-    def test_non_convergence_reports_residual(self):
+    def test_non_convergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(weighting, "DEFAULT_MAX_ITER", 1)
+        monkeypatch.setattr(weighting, "DEFAULT_TOL", 1e-16)
         pm = PairwiseMatrix([[1.0, 9.0, 0.2], [1 / 9, 1.0, 5.0], [5.0, 0.2, 1.0]])
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenvector(pm, max_iter=1, tol=1e-16)
+            principal_eigenvector(pm)
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
-
-    def test_parameter_validation(self):
-        pm = PairwiseMatrix([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            principal_eigenvector(pm, max_iter=0)
-        with pytest.raises(ValueError):
-            principal_eigenvector(pm, tol=0.0)
-        with pytest.raises(ValueError):
-            principal_eigenvector(pm, start=np.array([1.0, -1.0]))
 
 
 class TestConsistencyRatio:
@@ -117,11 +101,11 @@ class TestConsistencyRatio:
         for m in (3, 5, 8):
             pm = PairwiseMatrix.from_priorities(rng.uniform(0.5, 2.0, size=m))
             d = principal_eigenvector(pm)
-            assert consistency_ratio(d, m) < 1e-6
+            assert d.consistency_ratio < 1e-6
 
     def test_zero_by_definition_below_three(self):
         d = principal_eigenvector(PairwiseMatrix([[1.0, 4.0], [0.25, 1.0]]))
-        assert consistency_ratio(d, 2) == 0.0
+        assert d.consistency_ratio == 0.0
 
     def test_positive_for_perturbed_matrix(self):
         rng = np.random.default_rng(21)
@@ -130,18 +114,13 @@ class TestConsistencyRatio:
         values[0, 1] *= 3.0
         values[1, 0] = 1.0 / values[0, 1]
         d = principal_eigenvector(PairwiseMatrix(values))
-        assert consistency_ratio(d, 5) > 0.0
+        assert d.consistency_ratio > 0.0
 
     def test_matches_definition(self):
         pm = PairwiseMatrix([[1.0, 2.0, 7.0], [0.5, 1.0, 0.25], [1 / 7, 4.0, 1.0]])
         d = principal_eigenvector(pm)
         expected = (d.principal_eigenvalue - 3) / 2 / RANDOM_INDEX[3]
-        assert consistency_ratio(d, 3) == pytest.approx(expected, rel=1e-12)
-
-    def test_m_validation(self):
-        d = principal_eigenvector(PairwiseMatrix([[1.0]]))
-        with pytest.raises(ValueError):
-            consistency_ratio(d, 0)
+        assert d.consistency_ratio == pytest.approx(expected, rel=1e-12)
 
 
 class TestPresetWeights:
