@@ -7,14 +7,20 @@ the baseline ranking with the removed label deleted, enumerates every
 flipped pair, and offers a seeded Monte-Carlo mode that measures reversal
 frequency per method over random scenarios.
 
-All three experiments run on one leave-one-out engine, :func:`_drop_orders`:
-it orders a stack of ``(trials, n, m)`` grids and each grid without one
-row. The drop experiment is a stack of one; the duplication experiment is
-the drop experiment run backwards (the expanded matrix without its replica
-is the original); the Monte-Carlo mode draws, scores and orders a whole
-block of trials, with the same numbers as running the trials one by one
-(:func:`_trial_reversals`, which blocks it cannot batch fall back to).
-msaw's reduced matrices are not sorted again: deleting row k moves each row
+All three experiments run on one leave-one-out engine: :func:`_drop_scores`
+scores a stack of grids and each grid without one row by one method, and
+:func:`_drop_orders` orders the scores of every method asked for. A stack
+is laid out ``(n, m, T)``, alternatives by criteria by grids, so each max,
+min, sum or norm over alternatives or criteria is one elementwise
+operation across the T grids. The drop experiment is a stack of one,
+``(n, m, 1)``; the duplication experiment is the drop experiment run
+backwards (the expanded matrix without its replica is the original); the
+Monte-Carlo mode draws, scores and orders a whole block of trials, with
+the same numbers as running the trials one by one (:func:`_trial_reversals`,
+which blocks it cannot batch fall back to). Those numbers are
+:func:`methods.rank`'s bit for bit at any size, as the scorers add the
+criteria of a stack in the order rank() adds a lone grid's (see
+:func:`methods._grid_sum`). msaw's reduced matrices are not sorted again: deleting row k moves each row
 that sorts after k in a column up one place (half a place for a row tied
 with k under MEAN_RANK), so :func:`methods._msaw_drop_scores` derives the
 reduced positions from the full ones, exactly.
@@ -35,7 +41,7 @@ from .core import (
     require_valid,
     tie_order,
 )
-from .methods import _SCORERS, TiePolicy, _msaw_drop_scores, rank, scorer
+from .methods import _SCORERS, TiePolicy, _delete_rows, _msaw_drop_scores, rank, scorer
 from .rng import SplitMix64, derive_seed, derive_seeds, randrange_first_draws, stream_uint64
 from .scenario import STANDARD_CRITERIA, ScenarioSpec, generate_matrix, generate_values
 
@@ -76,33 +82,55 @@ class ReversalReport:
     flips: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-def _drop_orders(values, benefit, w, method, tie, alpha, removed, reduced):
-    """Best-first rows of each grid of a stack, and of it without one row.
+def _drop_scores(values, benefit, w, method, tie, alpha, removed, reduced):
+    """One method's scores of each grid of a stack and of it without one row.
 
-    ``values`` is ``(T, n, m)`` and ``reduced`` is the survivor stack
-    ``(T, n - 1, m)``: grid t without row ``removed[t]``. msaw does not read
-    it, as :func:`methods._msaw_drop_scores` derives the reduced scores from
-    the full positions; the other methods score it with their array
-    scorer. Returns ``(baseline, after)``, shaped ``(T, n)`` and
-    ``(T, n - 1)``, both in full-grid row numbers.
+    ``values`` is a stack ``(n, m, T)`` of T grids side by side on the last
+    axis, the scorer layout of :mod:`netselect.methods`; ``reduced`` is the
+    survivor stack ``(n - 1, m, T)``: grid t without row ``removed[t]``.
+    ``benefit`` and the validated weights ``w`` come shaped ``(m, 1)``. msaw
+    does not read ``reduced``, as :func:`methods._msaw_drop_scores` derives
+    the reduced scores from the full positions; the other methods score it
+    with their array scorer. The scores equal :func:`methods.rank`'s of each
+    grid bit for bit at any n, m and T. Returns ``(full, cut)``, transposed to
+    ``(T, n)`` and ``(T, n - 1)`` as :func:`core.tie_order` orders along the
+    last axis.
     """
     if method == "msaw":
-        full, reduced_scores = _msaw_drop_scores(values, benefit, w, tie, alpha, removed)
+        full, cut = _msaw_drop_scores(values, benefit, w, tie, alpha, removed)
     else:
         score = _SCORERS[method]
-        full, reduced_scores = (score(grid, benefit, w, tie, alpha) for grid in (values, reduced))
-    after = tie_order(reduced_scores)[0]
+        full, cut = (score(grid, benefit, w, tie, alpha) for grid in (values, reduced))
+    return full.T, cut.T
+
+
+def _drop_orders(scores, removed):
+    """Best-first rows from several methods' :func:`_drop_scores`, in two tie_order calls.
+
+    All full scores are ordered by one :func:`core.tie_order` call and all
+    reduced scores by a second one. Returns ``(baseline, after)``, shaped
+    ``(len(scores), T, n)`` and ``(len(scores), T, n - 1)``, both in
+    full-grid row numbers.
+    """
+    full, cut = zip(*scores)
+    baseline, after = (tie_order(np.stack(stack))[0] for stack in (full, cut))
     after += after >= removed[:, None]  # reduced-grid rows back to full-grid rows
-    return tie_order(full)[0], after
+    return baseline, after
 
 
 def _drop_labels(full, reduced, label, w, method, tie, alpha):
-    """Best-first labels of ``full`` and of ``reduced``, which is ``full`` without ``label``."""
+    """Best-first labels of ``full`` and of ``reduced``, which is ``full`` without ``label``.
+
+    The method and the weight array ``w`` are already checked; the grids
+    are scored as stacks of one, ``(n, m, 1)``.
+    """
     row = np.array([full.index_of(label)])
-    orders = _drop_orders(
-        full.values[None], full.benefit_mask, w, method, tie, alpha, row, reduced.values[None]
+    stacks = (full.values[..., None], reduced.values[..., None])
+    scores = _drop_scores(
+        stacks[0], full.benefit_mask[:, None], w[:, None], method, tie, alpha, row, stacks[1]
     )
-    return tuple(tuple(full.alternatives[i] for i in order[0].tolist()) for order in orders)
+    orders = _drop_orders([scores], row)
+    return tuple(tuple(full.alternatives[i] for i in order[0, 0].tolist()) for order in orders)
 
 
 def reversal_experiment(
@@ -258,10 +286,11 @@ class MonteCarloReport:
 # Trials per block are chosen so that a block's value grids hold about this
 # many numbers; the block size never changes a result. Blocks this small keep
 # every temporary array in cache and add little to peak memory. On the example
-# scenario at 1000 trials per call, 2^12 ran 1.2x slower than 2^13, 2^14 about
-# 7% faster and 2^15 or 2^16 (one block per call) about 2% faster; but peak RSS
-# rose 1.1 MB (2^14) and 2.4 MB (2^15, 2^16) above the import baseline,
-# against 0.5 MB for 2^13.
+# scenario at 1000 trials per call (2-vCPU VM, sizes alternated in one
+# process), 2^12 ran 1.16x slower than 2^13, 2^14 about 8% faster and 2^15 or
+# 2^16 (one block per call) about 5% faster; but the peak RSS of 40 calls rose
+# 2.1 MB (2^14) and 3.5 MB (2^15, 2^16) above the import baseline, against
+# 1.6 MB for 2^13 and 1.1 MB for 2^12.
 BLOCK_VALUES = 1 << 13
 
 
@@ -328,11 +357,13 @@ def _trial_reversals(spec, weights, methods, base_seed, trial, tie, alpha) -> li
 def _block_reversals(spec, weights, methods, base_seed, start, stop, tie, alpha) -> Counter | None:
     """Per-method reversal counts of trials [start, stop), computed as arrays.
 
-    Returns None when the block needs the per-trial path: fewer than two
-    alternatives, a value that is not positive and finite (the matrix may
-    be invalid, or wpm may reject it), or a removal draw that randrange
-    rejects (it takes further draws). Otherwise every matrix is valid, and
-    the methods, weights and alpha are checked in the per-trial order.
+    The block is drawn as one stack ``(n, 5, T)`` and its survivor stack
+    ``(n - 1, 5, T)`` is built once, for all methods. Returns None when the
+    block needs the per-trial path: fewer than two alternatives, a value
+    that is not positive and finite (the matrix may be invalid, or wpm may
+    reject it), or a removal draw that randrange rejects (it takes further
+    draws). Otherwise every matrix is valid, and the methods, weights and
+    alpha are checked in the per-trial order.
     """
     n = len(spec.profiles) * spec.instances_per_profile
     if n < 2:
@@ -343,15 +374,17 @@ def _block_reversals(spec, weights, methods, base_seed, start, stop, tie, alpha)
     values = generate_values(spec, matrix_seeds)
     if not accepted.all() or not (np.isfinite(values).all() and (values > 0.0).all()):
         return None
-    trials, _, m = values.shape
-    survivors = np.arange(n) != removed[:, None]
-    reduced = values[survivors].reshape(trials, n - 1, m)
-    benefit = np.array([c.direction is Direction.BENEFIT for c in STANDARD_CRITERIA])
-    counts = Counter()
+    reduced = _delete_rows(values, removed)
+    benefit = np.array([[c.direction is Direction.BENEFIT] for c in STANDARD_CRITERIA])
+    scores = []
     for method in methods:
+        # Name, weights, then (in scoring) alpha: the order of ranking one by one.
         scorer(method)
-        w = as_weight_array(weights, m)
-        baseline, after = _drop_orders(values, benefit, w, method, tie, alpha, removed, reduced)
-        expected = baseline[baseline != removed[:, None]].reshape(trials, n - 1)
-        counts[method] += int((after != expected).any(axis=1).sum())
+        w = as_weight_array(weights, len(STANDARD_CRITERIA))[:, None]
+        scores.append(_drop_scores(values, benefit, w, method, tie, alpha, removed, reduced))
+    baseline, after = _drop_orders(scores, removed)
+    expected = baseline[baseline != removed[:, None]].reshape(after.shape)
+    counts = Counter()
+    for method, count in zip(methods, (after != expected).any(axis=2).sum(axis=1).tolist()):
+        counts[method] += count
     return counts

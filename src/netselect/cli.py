@@ -159,6 +159,11 @@ def cmd_reversal(args) -> int:
             "argument --matrix: not allowed with --montecarlo, "
             "which draws its matrices from --spec (default: the bundled example scenario)"
         )
+    if args.montecarlo is not None and args.directions is not None:
+        args.parser.error(
+            "argument --directions: not allowed with --montecarlo, "
+            "whose scenario matrices have built-in directions"
+        )
     weights = _load_weights(args.weights)
     tie = TiePolicy(args.tie)
     if args.montecarlo is not None:

@@ -231,12 +231,20 @@ def require_valid(matrix: DecisionMatrix) -> DecisionMatrix:
 def normalize_values(values: np.ndarray, benefit: np.ndarray) -> np.ndarray:
     """:func:`normalize` over raw grids of already validated matrices.
 
-    ``values`` holds alternatives on axis -2 and criteria on axis -1, so a
-    stack of grids ``(..., n, m)`` is normalized grid by grid.
+    ``values`` holds alternatives on axis 0 and criteria on axis 1, and any
+    stacked grids on a trailing axis ``(n, m, T)``; ``benefit`` has one
+    entry per criterion, shaped ``(m,)`` or ``(m, 1)``. Each column takes
+    only the reduction it needs, its max (Benefit) or its min (Cost), over
+    the alternatives of every stacked grid at once; a zero in a Benefit
+    column is only ever a numerator.
     """
     out = np.empty_like(values)
-    out[..., benefit] = values[..., benefit] / values[..., benefit].max(axis=-2, keepdims=True)
-    out[..., ~benefit] = values[..., ~benefit].min(axis=-2, keepdims=True) / values[..., ~benefit]
+    for j, is_benefit in enumerate(benefit.ravel().tolist()):
+        column = values[:, j]
+        if is_benefit:
+            np.divide(column, column.max(axis=0), out=out[:, j])
+        else:
+            np.divide(column.min(axis=0), column, out=out[:, j])
     return out
 
 

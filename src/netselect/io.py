@@ -31,10 +31,24 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".directions.json")
 
 
+def _read_text(path: Path, newline: str | None = None) -> str:
+    """A file's text; bytes that are not UTF-8 become a ParseError naming the file.
+
+    ``newline`` is passed to :func:`open`: None translates line endings to
+    ``"\n"``, ``""`` keeps them as the csv module expects.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_json(path: Path):
     """Decode a JSON file; a syntax error becomes a ParseError naming the file."""
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
@@ -54,8 +68,7 @@ def _parse_directions(raw, count: int, origin: str) -> list[Direction]:
 def read_matrix_csv(path: str | Path, directions=None) -> DecisionMatrix:
     """Read a decision matrix; resolve directions from argument, sidecar, or defaults."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    rows = csv.reader(StringIO(_read_text(path, newline=""), newline=""))
     rows = [row for row in rows if row]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header and at least one data row")
@@ -146,7 +159,7 @@ def read_weights(path: str | Path) -> WeightVector:
         if not isinstance(cells, list):
             raise ParseError(f"{path}: expected a JSON array of weights")
     else:
-        rows = [row for row in csv.reader(path.read_text(encoding="utf-8").splitlines()) if row]
+        rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
         if len(rows) != 1:
             raise ParseError(f"{path}: expected a single CSV row of weights")
         cells = rows[0]
@@ -163,7 +176,7 @@ def read_weights(path: str | Path) -> WeightVector:
 def read_pairwise_csv(path: str | Path) -> PairwiseMatrix:
     """Read an m x m pairwise comparison grid (no header, numbers only)."""
     path = Path(path)
-    rows = [row for row in csv.reader(path.read_text(encoding="utf-8").splitlines()) if row]
+    rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
     if not rows:
         raise ParseError(f"{path}: empty pairwise matrix")
     grid = []

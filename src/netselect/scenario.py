@@ -119,19 +119,21 @@ class ScenarioSpec:
 def generate_values(spec: ScenarioSpec, seeds) -> np.ndarray:
     """Value grids of the matrices :func:`generate_matrix` draws for each seed.
 
-    Returns an array of shape ``(len(seeds), n, 5)``, one matrix per seed,
-    where ``n`` is ``len(spec.profiles) * spec.instances_per_profile``; the
-    spec's own seed is ignored. Row ``i`` of a matrix takes outputs 3i+1,
-    3i+2 and 3i+3 of its seed's SplitMix64 stream as the bandwidth, delay
-    and PLR uniforms, and every value comes out of the same floating-point
-    operations as a draw of :meth:`SplitMix64.uniform` would, so each grid
-    is bit-identical whatever the number of seeds.
+    Returns an array of shape ``(n, 5, len(seeds))``, where ``n`` is
+    ``len(spec.profiles) * spec.instances_per_profile``: the grid of seed t
+    is ``[..., t]``, which is the stacked layout the scorers read (see
+    :mod:`netselect.methods`). The spec's own seed is ignored. Row ``i`` of
+    a matrix takes outputs 3i+1, 3i+2 and 3i+3 of its seed's SplitMix64
+    stream as the bandwidth, delay and PLR uniforms, and every value comes
+    out of the same floating-point operations as a draw of
+    :meth:`SplitMix64.uniform` would, so each grid is bit-identical whatever
+    the number of seeds.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     per = spec.instances_per_profile
     n = len(spec.profiles) * per
-    uniforms = unit_doubles(stream_uint64(seeds, 3 * n)).reshape(len(seeds), n, 3)
-    values = np.empty((len(seeds), n, len(STANDARD_CRITERIA)))
+    uniforms = unit_doubles(stream_uint64(seeds, 3 * n)).reshape(len(seeds), n, 3).T
+    values = np.empty((n, len(STANDARD_CRITERIA), len(seeds)))
     # Overflow gives inf (and inf * 0 gives nan) silently, as in Python float
     # arithmetic; validation then reports the non-finite value.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,14 +141,14 @@ def generate_values(spec: ScenarioSpec, seeds) -> np.ndarray:
             rows = slice(p * per, (p + 1) * per)
             ranges = (profile.bandwidth_range, profile.delay_range, profile.plr_range)
             for col, (low, high) in enumerate(ranges):
-                values[:, rows, col] = low + (high - low) * uniforms[:, rows, col]
-            bandwidth = values[:, rows, 0]
-            values[:, rows, 3] = energy_consumption(
+                values[rows, col] = low + (high - low) * uniforms[col, rows]
+            bandwidth = values[rows, 0]
+            values[rows, 3] = energy_consumption(
                 bandwidth * spec.uplink_fraction,
                 bandwidth * (1.0 - spec.uplink_fraction),
                 profile.energy_coeffs,
             )
-            values[:, rows, 4] = profile.cost_level
+            values[rows, 4] = profile.cost_level
     return values
 
 
@@ -165,7 +167,7 @@ def generate_matrix(spec: ScenarioSpec) -> DecisionMatrix:
         for profile in spec.profiles
         for k in range(spec.instances_per_profile)
     ]
-    values = generate_values(spec, [spec.seed])[0]
+    values = generate_values(spec, [spec.seed])[..., 0]
     return require_valid(DecisionMatrix(labels, STANDARD_CRITERIA, values))
 
 

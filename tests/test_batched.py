@@ -3,7 +3,8 @@
 The vector SplitMix64 stream is checked against :class:`SplitMix64`, the
 batched generator against :func:`generate_matrix`, the array scorers against
 :func:`rank`, and :func:`monte_carlo_reversal` against the per-trial loop it
-replaced, which is kept here verbatim as the reference.
+replaced, which is kept here verbatim as the reference. Stacks of grids are
+laid out ``(n, m, T)``, the layout the scorers read.
 """
 
 import numpy as np
@@ -11,6 +12,9 @@ import pytest
 
 from netselect import (
     METHODS,
+    CriterionSpec,
+    DecisionMatrix,
+    Direction,
     EnergyCoeffs,
     MatrixValidationError,
     RatProfile,
@@ -19,15 +23,24 @@ from netselect import (
     TiePolicy,
     derive_seed,
     drop_alternative,
+    duplicate_alternative,
+    duplication_experiment,
     example_scenario,
     generate_matrix,
     monte_carlo_reversal,
     preset_weights,
     rank,
+    reversal_experiment,
 )
 from netselect import analysis
 from netselect.core import TIE_TOLERANCE, RankingResult, tie_order
-from netselect.methods import _column_positions, _msaw_drop_scores, _score_msaw, scorer
+from netselect.methods import (
+    _column_positions,
+    _grid_sum,
+    _msaw_drop_scores,
+    _score_msaw,
+    scorer,
+)
 from netselect.rng import derive_seeds, randrange_first_draws, stream_uint64, unit_doubles
 from netselect.scenario import generate_values
 
@@ -136,17 +149,17 @@ class TestGenerateValues:
         spec = ScenarioSpec(example_scenario().profiles, instances_per_profile=instances)
         seeds = [0, 7, 2**64 - 1, 123456789]
         values = generate_values(spec, seeds)
-        assert values.shape == (len(seeds), 3 * instances, 5)
-        for seed, grid in zip(seeds, values):
+        assert values.shape == (3 * instances, 5, len(seeds))
+        for t, seed in enumerate(seeds):
             expected = generate_matrix(spec.with_seed(seed)).values
-            assert np.array_equal(grid, expected)
+            assert np.array_equal(values[..., t], expected)
 
     def test_grid_does_not_depend_on_batch(self):
         spec = example_scenario()
         seeds = np.arange(1, 40, dtype=np.uint64)
         whole = generate_values(spec, seeds)
         for k in (0, 5, 38):
-            assert np.array_equal(generate_values(spec, seeds[k : k + 1])[0], whole[k])
+            assert np.array_equal(generate_values(spec, seeds[k : k + 1])[..., 0], whole[..., k])
 
 
 def old_column_positions(column, benefit, tie):
@@ -209,32 +222,47 @@ class TestSharedKernels:
         rng = np.random.default_rng(11)
         for _ in range(60):
             n, m = rng.integers(1, 30), rng.integers(1, 6)
-            values = rng.integers(1, 5, size=(3, n, m)).astype(float)  # many ties
+            values = rng.integers(1, 5, size=(n, m, 3)).astype(float)  # many ties
             benefit = rng.random(m) < 0.5
-            got = _column_positions(values, benefit, tie)
+            got = _column_positions(values, benefit[:, None], tie)
             for t in range(3):
                 for j in range(m):
-                    expected = old_column_positions(values[t, :, j], benefit[j], tie)
-                    assert np.array_equal(got[t, :, j], expected)
+                    expected = old_column_positions(values[:, j, t], benefit[j], tie)
+                    assert np.array_equal(got[:, j, t], expected)
+                assert np.array_equal(_column_positions(values[..., t], benefit, tie), got[..., t])
 
     @pytest.mark.parametrize("tie", list(TiePolicy))
     def test_msaw_drop_scores_equal_scoring_the_reduced_grid(self, tie):
         rng = np.random.default_rng(14)
         for _ in range(40):
             trials, n, m = 7, int(rng.integers(2, 12)), int(rng.integers(1, 13))
-            values = rng.integers(1, 4, size=(trials, n, m)).astype(float)  # many ties
+            values = rng.integers(1, 4, size=(n, m, trials)).astype(float)  # many ties
             benefit = rng.random(m) < 0.5
             w = rng.random(m) + 0.01
             for alpha in (None, n + int(rng.integers(0, 4))):
-                args = (benefit, w, tie, alpha)
+                args = (benefit[:, None], w[:, None], tie, alpha)
                 full = _score_msaw(values, *args)
                 every_row = [np.full(trials, k) for k in range(n)]
                 for removed in every_row + [rng.integers(0, n, trials)]:
                     got_full, got = _msaw_drop_scores(values, *args, removed)
                     assert got_full.tolist() == full.tolist()
                     for t, k in enumerate(removed.tolist()):
-                        reduced = np.delete(values[t], k, axis=0)
-                        assert got[t].tolist() == _score_msaw(reduced, *args).tolist()
+                        reduced = np.delete(values[..., t], k, axis=0)
+                        expected = _score_msaw(reduced, benefit, w, tie, alpha)
+                        assert got[:, t].tolist() == expected.tolist()
+
+    def test_grid_sum_adds_each_grid_as_the_lone_grid(self):
+        # numpy adds 8 or more contiguous values pairwise: a stack's criteria
+        # (and its alternatives when m = 1) must still add as a lone grid's.
+        rng = np.random.default_rng(15)
+        for n in (2, 9, 27):
+            for m in range(1, 13):
+                values = rng.random((n, m, 6)) * 10.0 ** rng.uniform(-3, 3, (n, m, 6))
+                for axis in (0, 1):
+                    got = _grid_sum(values, axis)
+                    for t in range(6):
+                        expected = values[..., t].copy().sum(axis=axis)
+                        assert got[:, t].tolist() == expected.tolist(), (n, m, axis)
 
     def test_tie_order_equals_loop_chaining(self):
         rng = np.random.default_rng(12)
@@ -295,19 +323,110 @@ class TestRankEqualsBatch:
         spec = ScenarioSpec(example_scenario().profiles, instances_per_profile=instances)
         seeds = np.arange(100, 113, dtype=np.uint64)
         values = generate_values(spec, seeds)
-        benefit = generate_matrix(spec).benefit_mask
-        w = np.asarray(VOIP.weights)
+        benefit = generate_matrix(spec).benefit_mask[:, None]
+        w = np.asarray(VOIP.weights)[:, None]
         for method in METHODS:
             batch = scorer(method)(values, benefit, w, tie, None)
-            reduced_batch = scorer(method)(values[:, 1:], benefit, w, tie, None)
+            reduced_batch = scorer(method)(values[1:], benefit, w, tie, None)
             for t, seed in enumerate(seeds.tolist()):
                 matrix = generate_matrix(spec.with_seed(seed))
                 full = rank(matrix, VOIP, method, tie=tie)
-                assert [full.scores[a] for a in matrix.alternatives] == batch[t].tolist()
+                assert [full.scores[a] for a in matrix.alternatives] == batch[:, t].tolist()
                 reduced_matrix = drop_alternative(matrix, matrix.alternatives[0])
                 reduced = rank(reduced_matrix, VOIP, method, tie=tie)
                 got = [reduced.scores[a] for a in reduced_matrix.alternatives]
-                assert got == reduced_batch[t].tolist()
+                assert got == reduced_batch[:, t].tolist()
+
+    @pytest.mark.parametrize("m", [1, 5, 9])
+    @pytest.mark.parametrize("n", [2, 6, 27])
+    @pytest.mark.parametrize("tie", list(TiePolicy))
+    def test_stacked_scores_equal_rank_of_each_grid(self, n, m, tie):
+        # Random grids with tied values, benefit and cost criteria, and the
+        # default alpha as well as a larger one; from 8 alternatives or
+        # criteria on, numpy would add a lone grid's sums pairwise.
+        rng = np.random.default_rng(n * 100 + m)
+        trials = 11
+        values = rng.integers(1, 6, size=(n, m, trials)) * rng.uniform(0.5, 2.0, size=(1, m, 1))
+        directions = [Direction.BENEFIT, Direction.COST, Direction.COST, Direction.BENEFIT]
+        criteria = [CriterionSpec(f"c{j}", directions[j % 4]) for j in range(m)]
+        benefit = np.array([c.direction is Direction.BENEFIT for c in criteria])
+        labels = [f"a{i}" for i in range(n)]
+        w = rng.uniform(0.01, 1.0, size=m)
+        for alpha in (None, n + 3):
+            for method in METHODS:
+                stack = scorer(method)(values, benefit[:, None], w[:, None], tie, alpha)
+                assert stack.shape == (n, trials)
+                for t in range(trials):
+                    matrix = DecisionMatrix(labels, criteria, values[..., t])
+                    result = rank(matrix, w, method, tie=tie, alpha=alpha)
+                    assert [result.scores[a] for a in labels] == stack[:, t].tolist()
+
+
+class TestDropEngineEqualsRank:
+    """The drop and duplicate experiments score one grid as a stack ``(n, m, 1)``."""
+
+    def matrix(self, seed, n=7, m=9):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(1, 4, size=(n, m)) * rng.uniform(0.1, 10.0, size=m)
+        criteria = [
+            CriterionSpec(f"c{j}", Direction.BENEFIT if j % 3 else Direction.COST)
+            for j in range(m)
+        ]
+        weights = rng.uniform(0.1, 1.0, size=m)
+        return DecisionMatrix([f"a{i}" for i in range(n)], criteria, values), weights
+
+    @pytest.mark.parametrize("tie", list(TiePolicy))
+    def test_nine_criteria_orders_equal_rank(self, tie):
+        for seed in range(6):
+            matrix, w = self.matrix(seed)
+            for method in METHODS:
+                for alpha in (None, 10):
+                    options = {"tie": tie, "alpha": alpha}
+                    baseline = rank(matrix, w, method, **options).order
+                    for label in matrix.alternatives:
+                        report = reversal_experiment(matrix, w, method, label, **options)
+                        reduced = rank(drop_alternative(matrix, label), w, method, **options)
+                        assert report.baseline_order == baseline
+                        assert report.reduced_order == reduced.order
+                        copied = duplication_experiment(matrix, w, method, label, **options)
+                        expanded = rank(duplicate_alternative(matrix, label), w, method, **options)
+                        assert copied.baseline_order == baseline
+                        assert copied.expanded_order == expanded.order
+
+    def test_nine_criteria_scores_equal_rank(self, monkeypatch):
+        # The scores the drop experiment orders are rank()'s bit for bit,
+        # although numpy adds 8 or more criteria of a lone grid pairwise.
+        ordered = []
+
+        def recording_tie_order(scores):
+            ordered.append(scores)
+            return tie_order(scores)
+
+        monkeypatch.setattr(analysis, "tie_order", recording_tie_order)
+        for seed in range(6):
+            matrix, w = self.matrix(seed)
+            label = matrix.alternatives[seed]
+            reduced_matrix = drop_alternative(matrix, label)
+            for method in METHODS:
+                ordered.clear()
+                reversal_experiment(matrix, w, method, label)
+                assert len(ordered) == 2  # the full scores, then the reduced ones
+                for scores, grid in zip(ordered, (matrix, reduced_matrix)):
+                    expected = rank(grid, w, method).scores
+                    assert scores[0, 0].tolist() == [expected[a] for a in grid.alternatives]
+
+    def test_stack_of_one_sums_like_the_grid(self):
+        # With 8 or more criteria numpy sums a grid's rows pairwise; a stack
+        # of one grid must give the same bits, which is what the experiments
+        # above rely on.
+        for seed in range(6):
+            matrix, w = self.matrix(seed, n=12, m=9 + seed)
+            values, benefit = matrix.values, matrix.benefit_mask
+            for method in METHODS:
+                args = (benefit[:, None], w[:, None], TiePolicy.MEAN_RANK, None)
+                stack = scorer(method)(values[..., None], *args)
+                scores = rank(matrix, w, method).scores
+                assert stack[:, 0].tolist() == [scores[a] for a in matrix.alternatives]
 
 
 class TestMonteCarloEqualsLoop:
@@ -338,11 +457,22 @@ class TestMonteCarloEqualsLoop:
             got = monte_carlo_reversal(*args)
             assert got.reversal_counts == loop_monte_carlo(*args), case
 
+    @pytest.mark.parametrize(
+        "tie, extra_alpha",
+        [(TiePolicy.STABLE_INDEX, None), (TiePolicy.MEAN_RANK, 3), (TiePolicy.STABLE_INDEX, 3)],
+    )
+    def test_stable_index_and_larger_alpha(self, tie, extra_alpha):
+        for spec in (example_scenario(), degenerate_spec()):
+            n = len(spec.profiles) * spec.instances_per_profile
+            alpha = None if extra_alpha is None else n + extra_alpha
+            args = (spec, VOIP, METHODS, 300, 5, tie, alpha)
+            assert monte_carlo_reversal(*args).reversal_counts == loop_monte_carlo(*args)
+
     def test_degenerate_spec_ties_and_reverses(self):
         spec = degenerate_spec()
         report = monte_carlo_reversal(spec, VOIP, METHODS, trials=300, seed=4)
         assert report.reversal_counts == loop_monte_carlo(spec, VOIP, METHODS, 300, 4)
-        values = generate_values(spec, [1])[0]
+        values = generate_values(spec, [1])[..., 0]
         assert len(np.unique(values[:, 0])) < len(values)  # tied columns
 
     def test_golden_counts_for_every_block_size(self, monkeypatch):
@@ -432,6 +562,15 @@ class TestErrorParity:
     def test_unknown_method(self):
         kind, message = self.both(example_scenario(), VOIP, ("saw", "bogus"))
         assert kind is ValueError and "bogus" in message
+
+    def test_each_method_checks_name_then_weights_then_alpha(self):
+        spec = example_scenario()
+        kind, message = self.both(spec, [1.0, 2.0], ("bogus", "msaw"), alpha=5)
+        assert kind is ValueError and "bogus" in message
+        kind, message = self.both(spec, [1.0, 2.0], ("msaw", "bogus"), alpha=5)
+        assert kind is ValueError and "weights" in message
+        kind, message = self.both(spec, VOIP, ("msaw", "bogus"), alpha=5)
+        assert kind is ValueError and "alpha" in message
 
     @pytest.mark.parametrize(
         "weights", [[1.0, 2.0], [1.0, -1.0, 1.0, 1.0, 1.0], [0.0] * 5, [np.nan, 1, 1, 1, 1]]

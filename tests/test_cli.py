@@ -414,6 +414,18 @@ class TestReversal:
         assert set(counts) == {"msaw", "saw"}
         assert payload["frequencies"] == {m: counts[m] / 10 for m in ("msaw", "saw")}
 
+    def test_montecarlo_rejects_directions(self, capsys):
+        # Scenario matrices carry their own directions, so the flag would be ignored.
+        argv = ["reversal", "--weights", "preset:voip", "--montecarlo", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--directions", "nonsense"])
+        assert exc.value.code == 2
+        assert (
+            "argument --directions: not allowed with --montecarlo, "
+            "whose scenario matrices have built-in directions" in capsys.readouterr().err
+        )
+        assert run_cli(capsys, *argv, "--directions", "")[0] == 0  # empty means no flag
+
     def test_montecarlo_trials_must_be_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reversal", "--weights", "preset:voip", "--montecarlo", "abc"])
@@ -770,3 +782,28 @@ def test_malformed_file_exit_4_names_the_file(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, *(arg.format(first) for arg in argv))
     assert (code, out) == (4, "")
     assert err == f"error: {tmp_path / culprit}: {message}\n"
+
+
+# One file that is not UTF-8 per reader of netselect.io: (files to write,
+# CLI arguments with {} for the first file, the file the error names).
+NOT_UTF8 = b"\xff\xfe0.5,0.5\n"
+NOT_UTF8_FILES = {
+    "matrix": ({"m.csv": NOT_UTF8}, MATRIX_ARGS, "m.csv"),
+    "sidecar": ({"m.csv": STANDARD_CSV.encode(), SIDECAR: NOT_UTF8}, MATRIX_ARGS, SIDECAR),
+    "weights-csv": ({"w.csv": NOT_UTF8}, WEIGHTS_ARGS, "w.csv"),
+    "weights-json": ({"w.json": NOT_UTF8}, WEIGHTS_ARGS, "w.json"),
+    "pairwise": ({"p.csv": NOT_UTF8}, PAIRWISE_ARGS, "p.csv"),
+    "scenario": ({"s.json": NOT_UTF8}, SCENARIO_ARGS, "s.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_UTF8_FILES))
+def test_file_not_utf8_exit_4_names_the_file(tmp_path, capsys, case):
+    files, argv, culprit = NOT_UTF8_FILES[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    first = tmp_path / next(iter(files))
+    code, out, err = run_cli(capsys, *(arg.format(first) for arg in argv))
+    assert (code, out) == (4, "")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert err == f"error: {tmp_path / culprit}: not UTF-8 text ({reason})\n"
